@@ -20,7 +20,7 @@ setup(
     install_requires=["numpy>=1.22"],
     entry_points={"console_scripts": ["repro=repro.api.cli:main"]},
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

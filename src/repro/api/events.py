@@ -147,6 +147,9 @@ class TrainingRoundFinished(RunEvent):
     losses: Dict[str, float]
     #: compiled-step counter deltas (repro.nn.CompileStats keys).
     counters: Optional[Dict[str, int]] = None
+    #: the most batch lanes a training step of this round ran with
+    #: (1: single-lane; see repro.nn.lanes).
+    lanes: int = 1
 
 
 @dataclass(frozen=True)

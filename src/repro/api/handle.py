@@ -184,6 +184,7 @@ class _StreamingGridObserver(GridObserver):
                 compiled=bool(info.get("compiled", False)),
                 losses=dict(info.get("losses", {})),
                 counters=info.get("counters"),
+                lanes=int(info.get("lanes", 1)),
             )
         )
 

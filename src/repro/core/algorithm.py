@@ -78,11 +78,24 @@ def build_initial_dataset(
     n = simulator.task.n
     seeds: List[PrefixGraph] = [builder(n) for builder in STRUCTURES.values()]
     seeds += random_population(n, max(size // 4, 4), rng)
+    # Query, as one batch, the prefix of `seeds` that fills the dataset
+    # to `size`: each graph with a new key grows it by one, so the
+    # prefix is known before any result.  A budget refusal ends the
+    # build at the refused graph, as a per-graph query would.
+    grown, count, keys = len(dataset), 0, set()
+    for graph in seeds:
+        count += 1
+        key = graph.key()
+        if key not in keys and graph not in dataset:
+            keys.add(key)
+            grown += 1
+        if grown >= size:
+            break
+    for evaluation in simulator.query_plan(seeds[:count]):
+        if evaluation is None:
+            return dataset
+        dataset.add_evaluations([evaluation])
     try:
-        for graph in seeds:
-            dataset.add_evaluations([simulator.query(graph)])
-            if len(dataset) >= size:
-                break
         # Mutation-of-sampled exploration until the dataset reaches `size`.
         while len(dataset) < size:
             weights = dataset.weights()

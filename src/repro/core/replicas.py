@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 import os
 import threading
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -469,6 +470,8 @@ class ReplicaRoundPool:
         self._pending = 0
         self._trained = False
         self._results: Dict[int, Optional[TrainStats]] = {}
+        #: why a cell's stacked round failed (it then trains solo)
+        self._failures: Dict[int, str] = {}
 
     def handle(self, cell_id: int) -> "ReplicaPoolHandle":
         with self._lock:
@@ -541,10 +544,20 @@ class ReplicaRoundPool:
                         config=cells[0]["config"],
                         optimizers=[c["optimizer"] for c in cells],
                     )
-                except Exception:
-                    # Never take the whole wave down: members train solo.
+                except Exception as error:
+                    # Never take the whole wave down: members train solo,
+                    # and each counts a stacked_failures round.
+                    reason = f"{type(error).__name__}: {error}"
+                    if not self._failures:
+                        warnings.warn(
+                            f"stacked replica training failed ({reason}); "
+                            f"{len(members)} cells train solo",
+                            RuntimeWarning,
+                            stacklevel=2,
+                        )
                     for cid in members:
                         self._results[cid] = None
+                        self._failures[cid] = reason
                     continue
                 for cid, stat in zip(members, stats):
                     self._results[cid] = stat
@@ -557,6 +570,11 @@ class ReplicaPoolHandle:
         self._pool = pool
         self._cell_id = cell_id
         self._used = False
+
+    @property
+    def failure(self) -> Optional[str]:
+        """Why this cell's stacked round failed, or None."""
+        return self._pool._failures.get(self._cell_id)
 
     def withdraw(self) -> None:
         """Leave the rendezvous (checkpointed cells, cell teardown)."""

@@ -107,6 +107,12 @@ class TrainStats:
     #: True when this round trained as one replica of a stacked
     #: multi-model program (:func:`repro.core.replicas.train_replicas`).
     stacked: bool = False
+    #: True when this round's stacked multi-replica training raised and
+    #: the round trained solo instead (``stacked_failures`` counter).
+    stacked_failed: bool = False
+    #: the most batch lanes any recorded-loop step of this call ran with
+    #: (1: single-lane; see :mod:`repro.nn.lanes`).
+    lanes: int = 1
     #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
     #: from this call; populated only under ``REPRO_PROFILE=1``.
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
@@ -394,6 +400,7 @@ def train_model(
         raise ValueError("cannot train on an empty dataset")
     optimizer = optimizer or nn.Adam(model.parameters(), lr=config.lr)
 
+    stacked_failed = False
     if replica_pool is not None:
         if checkpoint_dir is not None:
             replica_pool.withdraw()
@@ -401,12 +408,13 @@ def train_model(
             pooled = replica_pool.train(model, dataset, rng, config, optimizer)
             if pooled is not None:
                 return pooled
+            stacked_failed = replica_pool.failure is not None
 
     mean, std = dataset.cost_normalizer()
     model.set_cost_normalizer(mean, std)
     targets = model.standardize_costs(dataset.costs)
 
-    stats = TrainStats()
+    stats = TrainStats(stacked_failed=stacked_failed)
     fingerprint = None
     start_epoch = 0
     if checkpoint_dir is not None:
@@ -455,6 +463,7 @@ def train_model(
             seg_start = time.perf_counter()
             segment_rows = session.run(seg_epochs * batches_per_epoch, rng)
             stats.loop_seconds.append(time.perf_counter() - seg_start)
+            stats.lanes = max(stats.lanes, session.lanes_used)
             segment_next = 0
         epoch_total = epoch_rec = epoch_kl = epoch_cost = 0.0
         for _batch in range(batches_per_epoch):
@@ -578,8 +587,14 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
         telemetry.add("train_fused_kernels", counters.get("fused_ops", 0))
         telemetry.add("train_fallbacks", counters.get("fallbacks", 0))
         telemetry.add("loop_replays", len(stats.loop_seconds))
+        telemetry.add("train_lane_steps", counters.get("lane_steps", 0))
+        telemetry.add("train_lane_rejects", counters.get("lane_rejects", 0))
+        if stats.lanes > 1:
+            telemetry.add("train_lane_rounds", 1)
         if stats.stacked:
             telemetry.add("stacked_replicas", 1)
+        if stats.stacked_failed:
+            telemetry.add("stacked_failures", 1)
         for seconds in stats.replay_seconds:
             telemetry.observe_latency("train_step_replay", seconds)
         for seconds in stats.eager_seconds:
@@ -604,6 +619,7 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
                 "epochs": stats.epochs_run,
                 "epochs_skipped": stats.epochs_skipped,
                 "compiled": stats.compiled,
+                "lanes": stats.lanes,
                 "losses": stats.last() if stats.total else {},
                 "counters": dict(stats.compile_counters),
             }

@@ -182,6 +182,14 @@ class EngineTelemetry:
         Recorded-loop segments replayed (:mod:`repro.nn.loop`) and
         training rounds that ran as one replica of a stacked
         multi-model program (:mod:`repro.core.replicas`).
+    ``stacked_failures``
+        Training rounds whose stacked multi-replica training raised, so
+        the round trained solo (the reason is logged once per wave).
+    ``train_lane_steps`` / ``train_lane_rounds`` / ``train_lane_rejects``
+        Recorded-loop steps replayed on more than one batch lane
+        (:mod:`repro.nn.lanes`), training rounds with at least one such
+        step, and lane counts kept single-lane because their split
+        failed its bitwise probe.
     """
 
     _COUNTERS = (
@@ -207,6 +215,10 @@ class EngineTelemetry:
         "train_fallbacks",
         "loop_replays",
         "stacked_replicas",
+        "stacked_failures",
+        "train_lane_steps",
+        "train_lane_rounds",
+        "train_lane_rejects",
     )
 
     def __init__(self) -> None:

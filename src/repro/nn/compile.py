@@ -26,6 +26,12 @@ compiles it into a :class:`GraphProgram`:
   the forward's unfolded patches instead of re-unfolding.
 * **Shape-guarded replay** — programs are cached per input-shape
   signature; a new shape triggers a fresh trace, never a wrong replay.
+* **Batch lanes** — batch-separable instructions also get a form that
+  runs on a slice of the batch; a :class:`LanePlan` groups them into
+  regions that helper threads from :mod:`repro.nn.lanes` share, while
+  every reduction over the batch stays whole and in order, so a split
+  replay is bitwise equal to the single-lane one (checked at build
+  time by :meth:`GraphProgram.probe_lanes`).
 
 **Equivalence contract**: a compiled step must be *numerically
 equivalent* to the eager step.  The compiler enforces this mechanically:
@@ -52,6 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import OPS, Node, Trace
+from .lanes import BUDGET, MAX_LANES, cap_blas_threads, share
 from .optim import Optimizer, clip_grad_norm
 from .tensor import Tensor, _unbroadcast
 
@@ -109,8 +116,10 @@ class CompileStats:
 
     ``traces`` counts compilations (one per new input-shape signature),
     ``replays`` counts steps served by a cached program, ``fallbacks``
-    counts steps that ran eager because compilation was rejected.  The
-    rest describe the most recently built program.
+    counts steps that ran eager because compilation was rejected,
+    ``lane_steps`` / ``lane_rejects`` count split replays and lane
+    counts whose split failed its bitwise probe.  The rest describe the
+    most recently built program.
     """
 
     traces: int = 0
@@ -123,6 +132,8 @@ class CompileStats:
     arena_reused: int = 0
     fast_kernels: int = 0
     nodes: int = 0
+    lane_steps: int = 0
+    lane_rejects: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -187,6 +198,25 @@ class ProgramPlan:
 # ----------------------------------------------------------------------
 # Fast convolution kernels (persistent workspaces, matmul-based)
 # ----------------------------------------------------------------------
+# Each kernel's work is written once, as ``lane(r)``: the computation on
+# batch rows ``r`` (a slice), bound to views of the full-batch
+# workspaces.  The single-lane kernel is the lane over every row.
+# Per-sample results do not depend on which rows run together, so a
+# split replay is bitwise equal to it; whatever reduces over the batch
+# lives in a separate serial method.
+
+#: Every row of the batch (unlike ``slice(None)`` it also indexes 0-d
+#: arrays, which single-lane gradient sites meet).
+_ALL = Ellipsis
+
+
+def _rows(r, batch: int) -> int:
+    if r is _ALL:
+        return batch
+    lo, hi, _ = r.indices(batch)
+    return hi - lo
+
+
 class _Col2Im:
     """Adjoint of im2col as one flat ``bincount`` scatter-add.
 
@@ -201,7 +231,6 @@ class _Col2Im:
         batch, channels, kh, kw, oh, ow = cols6.shape
         hp, wp = padded_shape[2], padded_shape[3]
         self.shape = (batch, channels, hp, wp)
-        self.size = batch * channels * hp * wp
         plane = hp * wp
         per_patch = np.empty((kh, kw, oh, ow), dtype=np.intp)
         for u in range(kh):
@@ -211,11 +240,27 @@ class _Col2Im:
                 per_patch[u, v] = rows[:, None] * wp + cols_[None, :]
         offsets = (np.arange(batch * channels) * plane)[:, None]
         self.index = (per_patch.reshape(1, -1) + offsets).ravel()
-        self.weights = cols6.reshape(-1)  # view of the persistent workspace
+        self.cols6 = cols6
+        self._all_rows = self.lane(_ALL)
 
     def __call__(self) -> np.ndarray:
-        folded = np.bincount(self.index, weights=self.weights, minlength=self.size)
-        return folded.reshape(self.shape)
+        return self._all_rows()
+
+    def lane(self, r: slice) -> Callable[[], np.ndarray]:
+        """Fold rows ``r`` of the persistent workspace.  A bin only sums
+        its own sample's patch elements, in the same order whatever the
+        rows, so lanes are bitwise equal to the full fold."""
+        batch = self.shape[0]
+        rows = _rows(r, batch)
+        index = self.index[: rows * (self.index.size // batch)]
+        weights = self.cols6[r].reshape(-1)  # a view: cols6 is contiguous
+        shape = (rows,) + self.shape[1:]
+        size = int(np.prod(shape))
+
+        def fold_rows() -> np.ndarray:
+            return np.bincount(index, weights=weights, minlength=size).reshape(shape)
+
+        return fold_rows
 
 
 class _Im2Col:
@@ -240,13 +285,12 @@ class _Im2Col:
         self._interior = None
         if padding:
             self._interior = self.pad_buf[:, :, padding:-padding, padding:-padding]
-            self._bind_windows(self.pad_buf)
+            self._windows = self._windows_of(self.pad_buf)
 
-    def _bind_windows(self, xp: np.ndarray) -> None:
+    def _windows_of(self, xp: np.ndarray) -> np.ndarray:
         windows = sliding_window_view(xp, (self.kh, self.kw), axis=(2, 3))
         windows = windows[:, :, :: self.stride, :: self.stride, :, :]
-        self._windows = windows.transpose(0, 1, 4, 5, 2, 3)
-        self._window_src = xp
+        return windows.transpose(0, 1, 4, 5, 2, 3)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.padding:
@@ -254,9 +298,29 @@ class _Im2Col:
         elif x is not self._window_src:
             # Unpadded inputs are caller-owned arrays; rebind lazily (the
             # compiled executor feeds the same buffer every step).
-            self._bind_windows(x)
+            self._windows = self._windows_of(x)
+            self._window_src = x
         np.copyto(self.cols, self._windows)
         return self.cols_mat
+
+    def lane(self, r: slice) -> Callable[[np.ndarray], np.ndarray]:
+        """Unfold rows ``r``: ``x`` holds just those rows."""
+        cols, cols_mat = self.cols[r], self.cols_mat[r]
+        if self.padding:
+            interior, windows = self._interior[r], self._windows[r]
+
+            def unfold_rows(x: np.ndarray) -> np.ndarray:
+                np.copyto(interior, x)
+                np.copyto(cols, windows)
+                return cols_mat
+
+        else:
+
+            def unfold_rows(x: np.ndarray) -> np.ndarray:
+                np.copyto(cols, self._windows_of(x))
+                return cols_mat
+
+        return unfold_rows
 
 
 class _BatchGemmT:
@@ -273,7 +337,9 @@ class _BatchGemmT:
       workspaces and issue one 2-D GEMM (what einsum does internally).
 
     Both differ from einsum only in summation association (~1 ulp),
-    which the program-level verify pass bounds.
+    which the program-level verify pass bounds.  ``lane`` does the
+    batch-separable first half (products or transposes) for some rows;
+    :meth:`reduce` the batch reduction.
     """
 
     def __init__(self, a_shape, b_shape):
@@ -281,6 +347,8 @@ class _BatchGemmT:
         _, cols, _ = b_shape
         self.out = np.empty((rows, cols))
         self.batched = length >= 32
+        #: rough cost of :meth:`reduce` (elements summed, or MACs / 4)
+        self.reduce_work = rows * cols * batch * (1 if self.batched else length // 4)
         if self.batched:
             self.prod = np.empty((batch, rows, cols))
         else:
@@ -289,13 +357,25 @@ class _BatchGemmT:
             self.b_t = np.empty((cols, batch, length))
             self.b_2d = self.b_t.reshape(cols, batch * length)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def lane(self, r: slice) -> Callable[[np.ndarray, np.ndarray], None]:
         if self.batched:
-            np.matmul(a, b.transpose(0, 2, 1), out=self.prod)
-            np.sum(self.prod, axis=0, out=self.out)
-            return self.out
-        np.copyto(self.a_t, a.transpose(1, 0, 2))
-        np.copyto(self.b_t, b.transpose(1, 0, 2))
+            prod = self.prod[r]
+
+            def products(a: np.ndarray, b: np.ndarray) -> None:
+                np.matmul(a, b.transpose(0, 2, 1), out=prod)
+
+            return products
+        a_t, b_t = self.a_t[:, r], self.b_t[:, r]
+
+        def transposes(a: np.ndarray, b: np.ndarray) -> None:
+            np.copyto(a_t, a.transpose(1, 0, 2))
+            np.copyto(b_t, b.transpose(1, 0, 2))
+
+        return transposes
+
+    def reduce(self) -> np.ndarray:
+        if self.batched:
+            return np.sum(self.prod, axis=0, out=self.out)
         return np.matmul(self.a_2d, self.b_2d.T, out=self.out)
 
 
@@ -306,14 +386,21 @@ class _Conv2dForward:
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         self.unfold = _Im2Col(x_shape, w_shape[2], w_shape[3], stride, padding)
         batch = x_shape[0]
-        self.out_buf = out_buf
         self.out_mat = out_buf.reshape(batch, w_shape[0], -1)
         self.w_rows = w_shape[0]
+        self.work = self.unfold.cols.size + out_buf.size
 
-    def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        cols = self.unfold(x)
-        np.matmul(w.reshape(self.w_rows, -1), cols, out=self.out_mat)
-        return self.out_buf
+    def lane(self, r: slice) -> Callable:
+        # All rows keep the unfold's lazy window binding for unpadded
+        # inputs.
+        unfold = self.unfold if r is _ALL else self.unfold.lane(r)
+        out = self.out_mat[r]
+        w_rows = self.w_rows
+
+        def conv_rows(x: np.ndarray, w: np.ndarray) -> None:
+            np.matmul(w.reshape(w_rows, -1), unfold(x), out=out)
+
+        return conv_rows
 
 
 class _Conv2dBackward:
@@ -330,6 +417,7 @@ class _Conv2dBackward:
         g_shape = (batch, w_shape[0], length)
         self.g_shape = g_shape
         self.gemm_dw = _BatchGemmT(g_shape, forward.unfold.cols_mat.shape)
+        self.work = forward.unfold.cols.size * (2 if need_dx else 1)
         # The flip-kernel correlation needs a non-negative flipped
         # padding (kh - 1 - padding); otherwise fall back to col2im.
         self.dx_as_conv = need_dx and stride == 1 and w_shape[2] - 1 - padding >= 0
@@ -358,21 +446,44 @@ class _Conv2dBackward:
             )
             self.fold = _Col2Im(self.dcols, pad_shape, stride)
 
-    def __call__(self, g, x, w):
-        g_mat = g.reshape(self.g_shape)
-        dw = self.gemm_dw(g_mat, self.forward.unfold.cols_mat).reshape(self.w_shape)
-        dx = None
+    def prepare(self, w) -> None:
+        """The flipped kernel the stride-1 dx correlation reads (serial,
+        before any lane)."""
         if self.dx_as_conv:
-            gcols = self.dx_unfold(g)
             np.copyto(self.w_flip_4d, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            np.matmul(self.w_flip, gcols, out=self.dx_buf)
-            dx = self.dx_buf.reshape(self.x_shape)
+
+    def lane(self, r: slice) -> Callable:
+        """dW's batch-separable half and dx of rows ``r``; returns the dx
+        rows (or None)."""
+        rows = _rows(r, self.x_shape[0])
+        g_shape = (rows,) + self.g_shape[1:]
+        x_shape = (rows,) + self.x_shape[1:]
+        dw_rows = self.gemm_dw.lane(r)
+        cols_mat = self.forward.unfold.cols_mat[r]
+        w_shape = self.w_shape
+        if self.dx_as_conv:
+            dx_unfold = self.dx_unfold.lane(r)
+            dx_buf, w_flip = self.dx_buf[r], self.w_flip
         elif self.need_dx:
-            np.matmul(w.reshape(self.w_shape[0], -1).T, g_mat, out=self.dcols_mat)
-            folded = self.fold()
-            pad = self.pad
-            dx = folded[:, :, pad:-pad, pad:-pad] if pad else folded
-        return dx, dw
+            dcols_mat, fold, pad = self.dcols_mat[r], self.fold.lane(r), self.pad
+
+        def grads_rows(g, x, w):
+            g_mat = g.reshape(g_shape)
+            dw_rows(g_mat, cols_mat)
+            if self.dx_as_conv:
+                np.matmul(w_flip, dx_unfold(g), out=dx_buf)
+                return dx_buf.reshape(x_shape)
+            if self.need_dx:
+                np.matmul(w.reshape(w_shape[0], -1).T, g_mat, out=dcols_mat)
+                folded = fold()
+                return folded[:, :, pad:-pad, pad:-pad] if pad else folded
+            return None
+
+        return grads_rows
+
+    def weight_grad(self) -> np.ndarray:
+        """dW once every row ran: the batch sum (or the one GEMM)."""
+        return self.gemm_dw.reduce().reshape(self.w_shape)
 
 
 class _ConvT2dForward:
@@ -382,7 +493,7 @@ class _ConvT2dForward:
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         batch, in_ch, height, width = x_shape
         _, out_ch, kh, kw = w_shape
-        self.stride, self.padding = stride, padding
+        self.padding = padding
         self.x_mat_shape = (batch, in_ch, height * width)
         self.cols = np.empty((batch, out_ch, kh, kw, height, width))
         self.cols_mat = self.cols.reshape(batch, out_ch * kh * kw, height * width)
@@ -391,15 +502,19 @@ class _ConvT2dForward:
         self.fold = _Col2Im(self.cols, pad_shape, stride)
         self.out_buf = out_buf
         self.in_ch = in_ch
+        self.work = self.cols.size + out_buf.size
 
-    def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        x_mat = x.reshape(self.x_mat_shape)
-        np.matmul(w.reshape(self.in_ch, -1).T, x_mat, out=self.cols_mat)
-        folded = self.fold()
-        pad = self.padding
-        interior = folded[:, :, pad:-pad, pad:-pad] if pad else folded
-        np.copyto(self.out_buf, interior)
-        return self.out_buf
+    def lane(self, r: slice) -> Callable:
+        x_mat_shape = (_rows(r, self.x_mat_shape[0]),) + self.x_mat_shape[1:]
+        cols_mat, fold, out = self.cols_mat[r], self.fold.lane(r), self.out_buf[r]
+        in_ch, pad = self.in_ch, self.padding
+
+        def conv_t_rows(x: np.ndarray, w: np.ndarray) -> None:
+            np.matmul(w.reshape(in_ch, -1).T, x.reshape(x_mat_shape), out=cols_mat)
+            folded = fold()
+            np.copyto(out, folded[:, :, pad:-pad, pad:-pad] if pad else folded)
+
+        return conv_t_rows
 
 
 class _ConvT2dBackward:
@@ -408,29 +523,213 @@ class _ConvT2dBackward:
     def __init__(self, node: Node, x_shape, w_shape, g_shape, need_dx):
         stride, padding = node.attrs["stride"], node.attrs["padding"]
         batch, in_ch, height, width = x_shape
-        _, out_ch, kh, kw = w_shape
+        kh, kw = w_shape[2], w_shape[3]
         self.unfold = _Im2Col(g_shape, kh, kw, stride, padding)
         self.x_shape, self.w_shape = x_shape, w_shape
-        self.gcols = np.empty((batch, out_ch, kh, kw, height, width))
-        self.gcols_mat = self.gcols.reshape(batch, out_ch * kh * kw, height * width)
-        self.gcols_src = self.unfold.cols[:, :, :, :, :height, :width]
+        # The output is (H - 1) * s - 2p + k wide, so unfolding it with
+        # the same k, s, p yields exactly H x W windows: the unfolded
+        # gradient needs no crop (the reference kernel's crop is whole).
+        self.gcols_mat = self.unfold.cols_mat
         self.in_ch = in_ch
         self.x_mat_shape = (batch, in_ch, height * width)
         self.gemm_dw = _BatchGemmT(self.x_mat_shape, self.gcols_mat.shape)
         self.need_dx = need_dx
+        self.work = self.unfold.cols.size * (2 if need_dx else 1)
         if need_dx:
             self.dx = np.empty(self.x_mat_shape)
 
-    def __call__(self, g, x, w):
-        self.unfold(g)
-        np.copyto(self.gcols, self.gcols_src)
-        x_mat = x.reshape(self.x_mat_shape)
-        dw = self.gemm_dw(x_mat, self.gcols_mat).reshape(self.w_shape)
-        dx = None
-        if self.need_dx:
-            np.matmul(w.reshape(self.in_ch, -1), self.gcols_mat, out=self.dx)
-            dx = self.dx.reshape(self.x_shape)
-        return dx, dw
+    def lane(self, r: slice) -> Callable:
+        """dW's batch-separable half and dx of rows ``r``; returns the dx
+        rows (or None)."""
+        rows = _rows(r, self.x_shape[0])
+        x_mat_shape = (rows,) + self.x_mat_shape[1:]
+        x_shape = (rows,) + self.x_shape[1:]
+        unfold = self.unfold.lane(r)
+        gcols_mat = self.gcols_mat[r]
+        dw_rows = self.gemm_dw.lane(r)
+        dx = self.dx[r] if self.need_dx else None
+        in_ch = self.in_ch
+
+        def grads_rows(g, x, w):
+            unfold(g)
+            dw_rows(x.reshape(x_mat_shape), gcols_mat)
+            if dx is None:
+                return None
+            np.matmul(w.reshape(in_ch, -1), gcols_mat, out=dx)
+            return dx.reshape(x_shape)
+
+        return grads_rows
+
+    def weight_grad(self) -> np.ndarray:
+        """dW once every row ran: the batch sum (or the one GEMM)."""
+        return self.gemm_dw.reduce().reshape(self.w_shape)
+
+
+# ----------------------------------------------------------------------
+# Batch lanes
+# ----------------------------------------------------------------------
+#: Regions whose lanes share less work than this (in array elements)
+#: run unsplit: below it the handshake with the helper costs more than
+#: the second core saves.  Measured on a 2-CPU host (three elementwise
+#: ops per region, two lanes vs one): 64K elements ran at 0.85-0.90x,
+#: 128K at 1.36-1.66x.  The VAE step's regions are either above 1.3M or
+#: below 14K elements, so its plan does not depend on the exact value.
+_MIN_REGION_WORK = 1 << 17
+
+
+@dataclass
+class _LaneSpec:
+    """How one instruction runs inside a lane region.
+
+    ``rows(r)`` builds the instruction's work on batch rows ``r`` (a
+    slice); ``before`` runs once before the lanes start (views, weight
+    flips: nothing that reads batch rows), ``after`` once after every
+    lane finished (batch reductions).  ``work`` sizes the region and
+    ``after_work`` the ``after`` step.  ``touches`` names the nodes whose
+    gradient buffers ``after`` reads or writes among other ``after``
+    steps: steps sharing a node keep their order, others may run on
+    different lanes.
+    """
+
+    rows: Optional[Callable[[slice], Callable[[], None]]] = None
+    before: Optional[Callable[[], None]] = None
+    after: Optional[Callable[[], None]] = None
+    work: int = 0
+    after_work: int = 0
+    touches: Tuple[int, ...] = ()
+
+
+def _lane_bounds(batch: int, lanes: int) -> List[Tuple[int, int]]:
+    return [(batch * i // lanes, batch * (i + 1) // lanes) for i in range(lanes)]
+
+
+def _gemm_rows_agree(a: np.ndarray, b: np.ndarray) -> bool:
+    """Is ``a @ b`` on row slices bitwise equal to the whole product?
+
+    BLAS may pick its GEMM kernel by the row count (seen for a short
+    transposed right operand), which changes the summation order.
+    Checked for every lane count on example operands; a kernel choice,
+    not the values, decides the outcome.
+    """
+    batch = a.shape[0]
+    full = np.matmul(a, b)
+    for lanes in range(2, min(MAX_LANES, batch) + 1):
+        for lo, hi in _lane_bounds(batch, lanes):
+            if not np.array_equal(np.matmul(a[lo:hi], b), full[lo:hi]):
+                return False
+    return True
+
+
+def _chain(fns: List[Callable[[], None]]) -> Callable[[], None]:
+    def run_lane() -> None:
+        for fn in fns:
+            fn()
+
+    return run_lane
+
+
+class _Region:
+    """Consecutive lane-splittable instructions behind one barrier.
+
+    ``run(helpers)`` runs the ``before`` steps, then shares the batch
+    chunks between the caller and the helpers (:func:`repro.nn.lanes.share`),
+    then the ``after`` steps the same way: steps that touch a common
+    gradient buffer form one task in instruction order, largest task
+    first.  With no helpers everything runs on the calling thread, in
+    order (the build-time probe does this; values are the same).
+    """
+
+    def __init__(self, specs: List[_LaneSpec], bounds: List[Tuple[int, int]]) -> None:
+        self.before = [s.before for s in specs if s.before is not None]
+        self.chunks = [
+            _chain([s.rows(slice(lo, hi)) for s in specs if s.rows is not None])
+            for lo, hi in bounds
+        ]
+        self.after = self._groups([s for s in specs if s.after is not None])
+
+    @staticmethod
+    def _groups(specs: List[_LaneSpec]) -> List[Callable[[], None]]:
+        # Union the steps that share a node, largest group first.
+        group_of: Dict[int, int] = {}
+        groups: List[List[int]] = []
+        for i, spec in enumerate(specs):
+            joined = sorted({group_of[n] for n in spec.touches if n in group_of})
+            if joined:
+                home = joined[0]
+                for other in joined[1:]:
+                    groups[home].extend(groups[other])
+                    for j in groups[other]:
+                        for n in specs[j].touches:
+                            group_of[n] = home
+                    groups[other] = []
+            else:
+                home = len(groups)
+                groups.append([])
+            groups[home].append(i)
+            for n in spec.touches:
+                group_of[n] = home
+        groups = sorted(
+            (g for g in groups if g), key=lambda g: -sum(specs[i].after_work for i in g)
+        )
+        return [_chain([specs[i].after for i in sorted(g)]) for g in groups]
+
+    def run(self, helpers) -> None:
+        for fn in self.before:
+            fn()
+        share(self.chunks, helpers)
+        share(self.after, helpers)
+
+
+class LanePlan:
+    """A program's forward and backward schedules regrouped for lanes.
+
+    Each schedule is a list of ``(instr, region)`` steps: a serial
+    instruction (``region`` None) or a :class:`_Region`.  Regions too
+    small to pay for their barrier keep their original instructions.
+    """
+
+    def __init__(self, forward, backward, batch: int, lanes: int) -> None:
+        bounds = _lane_bounds(batch, lanes)
+        self.lanes = lanes
+        self.forward = self._group(forward, bounds)
+        self.backward = self._group(backward, bounds)
+
+    @staticmethod
+    def _group(steps, bounds):
+        grouped: List[Tuple[Optional[Callable], Optional[_Region]]] = []
+        pending: List[Tuple[Callable, _LaneSpec]] = []
+
+        def flush() -> None:
+            specs = [spec for _, spec in pending]
+            if any(s.rows is not None for s in specs) and sum(
+                s.work for s in specs
+            ) >= _MIN_REGION_WORK:
+                grouped.append((None, _Region(specs, bounds)))
+            else:
+                grouped.extend((instr, None) for instr, _ in pending)
+            pending.clear()
+
+        for instr, spec in steps:
+            if spec is None:
+                flush()
+                grouped.append((instr, None))
+            else:
+                pending.append((instr, spec))
+        flush()
+        return grouped
+
+    @staticmethod
+    def serial(instrs: Sequence[Callable[[], None]]) -> List[Tuple[Callable, None]]:
+        """Plain instructions as single-lane steps for :meth:`run`."""
+        return [(instr, None) for instr in instrs]
+
+    @staticmethod
+    def run(steps, helpers) -> None:
+        for instr, region in steps:
+            if region is None:
+                instr()
+            else:
+                region.run(helpers)
 
 
 # ----------------------------------------------------------------------
@@ -683,14 +982,26 @@ class GraphProgram:
             if nid in keep:
                 self._storage[nid] = value
 
+        # Batch-major values: row b depends only on row b of the inputs.
+        # Instructions producing them can run on batch slices (lanes).
+        leads = {nodes[nid].shape[:1] for nid, _ in self._input_binds}
+        self._batch = leads.pop()[0] if len(leads) == 1 and () not in leads else 0
+        self._bm: Dict[int, bool] = {nid: False for nid in keep}
+        if self._batch:
+            for nid, _ in self._input_binds:
+                self._bm[nid] = True
+            for nid in sched:
+                self._bm[nid] = self._row_separable(nodes[nid])
+
         self._forward: List[Callable] = []
+        self._fwd_specs: List[Optional[_LaneSpec]] = []
         self._fwd_kernels: Dict[int, Callable] = {}
         self._bwd_kernels: Dict[int, Callable] = {}
         for nid in sched:
             node = nodes[nid]
-            op = OPS[node.op]
-            instr = self._build_forward_instr(node, op, buffers.get(nid))
+            instr, spec = self._build_forward_instr(node, OPS[node.op], buffers.get(nid))
             self._forward.append(instr)
+            self._fwd_specs.append(spec)
 
         # -- 8. backward instructions ----------------------------------
         grads: Dict[int, np.ndarray] = {}
@@ -707,6 +1018,9 @@ class GraphProgram:
         ]
         first_write = set(received) - {loss_id}
         self._backward: List[Callable] = []
+        self._bwd_specs: List[Optional[_LaneSpec]] = []
+        self._bwd_sites: Dict[int, List[Tuple]] = {}
+        self._bwd_conv_specs: Dict[int, _LaneSpec] = {}
         for nid in grad_sched:
             node = nodes[nid]
             sites = []
@@ -717,7 +1031,12 @@ class GraphProgram:
                     (slot, parent, parent in first_write, nodes[parent].shape)
                 )
                 first_write.discard(parent)
-            self._backward.append(self._build_backward_instr(node, sites))
+            instr = self._build_backward_instr(node, sites)
+            self._backward.append(instr)
+            self._bwd_specs.append(self._backward_lane_spec(node, sites, instr))
+        #: accepted lane plans by lane count, and why the others were not
+        self._lane_plans: Dict[int, LanePlan] = {}
+        self.lane_rejects: Dict[int, str] = {}
 
         # -- 9. optional per-kernel profiling (REPRO_PROFILE=1) --------
         # Cumulative replay seconds per op label; fused-chain members
@@ -725,6 +1044,8 @@ class GraphProgram:
         # so per-node labels attribute fused work to its actual kernels.
         self.kernel_seconds: Dict[str, float] = {}
         if profile_enabled():
+            # Per-kernel timings describe the single-lane schedule.
+            self._fwd_specs = self._bwd_specs = None
             totals = self.kernel_seconds
             self._forward = [
                 _profiled(instr, "fwd:" + nodes[nid].op, totals)
@@ -734,11 +1055,19 @@ class GraphProgram:
                 _profiled(instr, "bwd:" + nodes[nid].op, totals)
                 for instr, nid in zip(self._backward, grad_sched)
             ]
+        self._serial = (LanePlan.serial(self._forward), LanePlan.serial(self._backward))
 
     # ------------------------------------------------------------------
     def _build_forward_instr(
         self, node: Node, op, buf: Optional[np.ndarray]
-    ) -> Callable:
+    ) -> Tuple[Callable, Optional[_LaneSpec]]:
+        """The node's forward instruction and its lane form (None when
+        it cannot run in lanes).
+
+        An instruction that computes values is its rows form over every
+        row, ``rows(_ALL)``: split and single-lane replays run the same
+        kernels.
+        """
         storage = self._storage
         parents = node.parents
         attrs = node.attrs
@@ -751,43 +1080,57 @@ class GraphProgram:
                     tuple(storage[p] for p in parents), attrs
                 )
 
-            return run_view
+            # A view computes no values: it can run before the lanes.
+            pure = op.view and self._pure_view(node)
+            return run_view, (_LaneSpec(before=run_view) if pure else None)
         storage[nid] = buf
+        read = [self._reader(p) for p in parents]
         fast = self._build_fast_kernel(node, buf)
+        mask = self._relu_masks.get(nid)
         if fast is not None:
             self.stats.fast_kernels += 1
             self._fwd_kernels[nid] = fast
-            px, pw = parents
+            work = fast.work
 
-            def run_fast() -> None:
-                fast(storage[px], storage[pw])
+            def rows(r):
+                lane = fast.lane(r)
+                x, w = read
+                return lambda: lane(x(r), w(r))
 
-            return run_fast
-        mask = self._relu_masks.get(nid)
-        if mask is not None:
+        elif mask is not None:
             # Cache the sign mask for the backward pass while computing
             # x * (x > 0) — identical values, and the input no longer
             # needs to outlive the forward pass.
-            src = parents[0]
+            work = buf.size
 
-            def run_relu() -> None:
-                np.greater(storage[src], 0, out=mask)
-                np.multiply(storage[src], mask, out=buf)
+            def rows(r):
+                m, out = mask[r], buf[r]
 
-            return run_relu
-        if op.kernel is not None:
+                def run_relu() -> None:
+                    x = read[0](r)
+                    np.greater(x, 0, out=m)
+                    np.multiply(x, m, out=out)
+
+                return run_relu
+
+        elif op.kernel is not None:
             kernel = op.kernel
+            work = buf.size
 
-            def run_kernel() -> None:
-                kernel(tuple(storage[p] for p in parents), attrs, buf)
+            def rows(r):
+                out = buf[r]
+                return lambda: kernel(tuple(f(r) for f in read), attrs, out)
 
-            return run_kernel
-        forward = op.forward
+        else:
+            forward = op.forward
+            work = buf.size
 
-        def run_copy() -> None:
-            np.copyto(buf, forward(tuple(storage[p] for p in parents), attrs))
+            def rows(r):
+                out = buf[r]
+                return lambda: np.copyto(out, forward(tuple(f(r) for f in read), attrs))
 
-        return run_copy
+        spec = _LaneSpec(rows=rows, work=work) if self._splits(node) else None
+        return rows(_ALL), spec
 
     def _build_fast_kernel(self, node: Node, buf: np.ndarray) -> Optional[Callable]:
         """Specialized conv kernels (and their VJPs) with workspaces."""
@@ -815,7 +1158,8 @@ class GraphProgram:
     # For the hot ops, the per-parent gradient is computed by ufuncs
     # writing straight into the parent's grad buffer (first write) or a
     # persistent scratch (accumulation) — zero allocations per step.
-    # Each maker returns ``compute_into(out_buffer)`` or None; the
+    # Each maker returns ``compute_into(out_buffer, rows)`` or None, where
+    # ``rows`` selects the batch rows (``_ALL`` outside lanes); the
     # formulas match the registry VJPs operation-for-operation so the
     # values stay identical to eager.
     @staticmethod
@@ -825,7 +1169,7 @@ class GraphProgram:
         Only the single-stage cases are handled (leading broadcast axes
         *or* kept-1 axes, not both); they cover every bias gradient in
         practice.  ``sum`` then ``negate`` is bit-identical to negating
-        first — float negation is exact.
+        first — float negation is exact.  Reductions never run in lanes.
         """
         gshape = g.shape
         extra = len(gshape) - len(pshape)
@@ -834,14 +1178,14 @@ class GraphProgram:
             i for i, s in enumerate(pshape) if s == 1 and gshape[extra + i] != 1
         )
         if extra and not axes:
-            def reduce_lead(o):
+            def reduce_lead(o, r):
                 np.add.reduce(g, axis=lead, out=o)
                 if negate:
                     np.negative(o, out=o)
 
             return reduce_lead
         if axes and not extra:
-            def reduce_keep(o):
+            def reduce_keep(o, r):
                 np.add.reduce(g, axis=axes, keepdims=True, out=o)
                 if negate:
                     np.negative(o, out=o)
@@ -855,8 +1199,19 @@ class GraphProgram:
             return all(GraphProgram._is_basic_index(i) for i in idx)
         return isinstance(idx, (int, np.integer, slice, type(None), type(Ellipsis)))
 
-    def _bwd_site_maker(self, node: Node, slot: int, pshape) -> Optional[Callable]:
+    def _reader(self, nid: int) -> Callable[[object], np.ndarray]:
+        """``rows -> value``: batch-major values are sliced, others whole.
+
+        ``_ALL`` reads the stored array itself, not a view of it (the
+        unfold of an unpadded conv input rebinds its window view only
+        when the input array changes).
+        """
         S = self._storage
+        if self._bm.get(nid):
+            return lambda r: S[nid] if r is _ALL else S[nid][r]
+        return lambda r: S[nid]
+
+    def _bwd_site_maker(self, node: Node, slot: int, pshape) -> Optional[Callable]:
         g = self._grads[node.id]
         parents = node.parents
         name = node.op
@@ -864,36 +1219,38 @@ class GraphProgram:
         if name == "add":
             if reduced:
                 return self._reduce_maker(g, pshape, negate=False)
-            return lambda o: np.copyto(o, g)
+            return lambda o, r: np.copyto(o, g[r])
         if name == "sub":
             if reduced:
                 return self._reduce_maker(g, pshape, negate=slot == 1)
             if slot == 0:
-                return lambda o: np.copyto(o, g)
-            return lambda o: np.negative(g, out=o)
+                return lambda o, r: np.copyto(o, g[r])
+            return lambda o, r: np.negative(g[r], out=o)
         # Shape-changing ops produce parent-shaped gradients directly.
         if name == "sum":
             axis, keepdims = node.attrs["axis"], node.attrs["keepdims"]
             expanded = g
             if axis is not None and not keepdims:
                 expanded = np.expand_dims(g, axis=axis)
-            return lambda o: np.copyto(o, expanded)
+            return lambda o, r: np.copyto(o, expanded[r])
         if name == "reshape":
             view = g.reshape(pshape)
-            return lambda o: np.copyto(o, view)
+            return lambda o, r: np.copyto(o, view[r])
         if name == "transpose":
             view = g.transpose(node.attrs["inverse"])
-            return lambda o: np.copyto(o, view)
+            return lambda o, r: np.copyto(o, view[r])
         if name == "getitem":
             idx = node.attrs["idx"]
             if not self._is_basic_index(idx):
                 return None
 
-            def getitem_bwd(o):
+            def getitem_bwd(o, r):
                 # Basic slicing has no duplicate indices, so the
                 # reference np.add.at over zeros is a plain assignment.
+                # (Split getitems keep axis 0 whole, so idx applies to
+                # the lane's rows as it does to the batch.)
                 o.fill(0.0)
-                o[idx] = g
+                o[idx] = g[r]
 
             return getitem_bwd
         if name == "matmul":
@@ -902,68 +1259,73 @@ class GraphProgram:
             if a_nd < 2 or b_nd < 2:
                 return None
             if slot == 0:
-                return lambda o, b=parents[1]: np.matmul(
-                    g, np.swapaxes(S[b], -1, -2), out=o
+                read_b = self._reader(parents[1])
+                return lambda o, r: np.matmul(
+                    g[r], np.swapaxes(read_b(r), -1, -2), out=o
                 )
-            return lambda o, a=parents[0]: np.matmul(
-                np.swapaxes(S[a], -1, -2), g, out=o
+            read_a = self._reader(parents[0])
+            return lambda o, r: np.matmul(
+                np.swapaxes(read_a(r), -1, -2), g[r], out=o
             )
         # Elementwise makers below require an unreduced (same-shape) site.
         if reduced:
             return None
+        read = [self._reader(p) for p in parents]
         if name == "abs":
             tmp = np.empty(node.shape)
 
-            def abs_bwd(o, p=parents[0]):
-                np.sign(S[p], out=tmp)
-                np.multiply(g, tmp, out=o)
+            def abs_bwd(o, r):
+                t = tmp[r]
+                np.sign(read[0](r), out=t)
+                np.multiply(g[r], t, out=o)
 
             return abs_bwd
         if name == "neg":
-            return lambda o: np.negative(g, out=o)
+            return lambda o, r: np.negative(g[r], out=o)
         if name == "mul":
-            other = parents[1 - slot]
-            return lambda o: np.multiply(g, S[other], out=o)
+            other = read[1 - slot]
+            return lambda o, r: np.multiply(g[r], other(r), out=o)
         if name == "div":
             if slot == 0:
-                return lambda o: np.divide(g, S[parents[1]], out=o)
+                return lambda o, r: np.divide(g[r], read[1](r), out=o)
             tmp = np.empty(node.shape)
             tmp2 = np.empty(self._trace.nodes[parents[1]].shape)
 
-            def div_b(o, a=parents[0], b=parents[1]):
-                np.negative(g, out=tmp)
-                np.multiply(tmp, S[a], out=tmp)
-                np.multiply(S[b], S[b], out=tmp2)
-                np.divide(tmp, tmp2, out=o)
+            def div_b(o, r):
+                t, t2, b = tmp[r], tmp2[r], read[1](r)
+                np.negative(g[r], out=t)
+                np.multiply(t, read[0](r), out=t)
+                np.multiply(b, b, out=t2)
+                np.divide(t, t2, out=o)
 
             return div_b
+        own = self._reader(node.id)
         if name == "exp":
-            nid = node.id
-            return lambda o: np.multiply(g, S[nid], out=o)
+            return lambda o, r: np.multiply(g[r], own(r), out=o)
         if name == "relu":
             mask = self._relu_masks.get(node.id)
             if mask is None:
                 return None
-            return lambda o: np.multiply(g, mask, out=o)
+            return lambda o, r: np.multiply(g[r], mask[r], out=o)
         if name == "sigmoid":
             tmp = np.empty(node.shape)
             tmp2 = np.empty(node.shape)
-            nid = node.id
 
-            def sigmoid_bwd(o):
-                np.multiply(g, S[nid], out=tmp)
-                np.subtract(1.0, S[nid], out=tmp2)
-                np.multiply(tmp, tmp2, out=o)
+            def sigmoid_bwd(o, r):
+                t, t2, y = tmp[r], tmp2[r], own(r)
+                np.multiply(g[r], y, out=t)
+                np.subtract(1.0, y, out=t2)
+                np.multiply(t, t2, out=o)
 
             return sigmoid_bwd
         if name == "tanh":
             tmp = np.empty(node.shape)
-            nid = node.id
 
-            def tanh_bwd(o):
-                np.multiply(S[nid], S[nid], out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
-                np.multiply(g, tmp, out=o)
+            def tanh_bwd(o, r):
+                t, y = tmp[r], own(r)
+                np.multiply(y, y, out=t)
+                np.subtract(1.0, t, out=t)
+                np.multiply(g[r], t, out=o)
 
             return tanh_bwd
         if name == "softplus":
@@ -971,18 +1333,19 @@ class GraphProgram:
 
             tmp = np.empty(node.shape)
 
-            def softplus_bwd(o, p=parents[0]):
-                stable_sigmoid(S[p], out=tmp)
-                np.multiply(g, tmp, out=o)
+            def softplus_bwd(o, r):
+                t = tmp[r]
+                stable_sigmoid(read[0](r), out=t)
+                np.multiply(g[r], t, out=o)
 
             return softplus_bwd
         if name == "sqrt":
             tmp = np.empty(node.shape)
-            nid = node.id
 
-            def sqrt_bwd(o):
-                np.multiply(g, 0.5, out=tmp)
-                np.divide(tmp, S[nid], out=o)
+            def sqrt_bwd(o, r):
+                t = tmp[r]
+                np.multiply(g[r], 0.5, out=t)
+                np.divide(t, own(r), out=o)
 
             return sqrt_bwd
         if name == "pow":
@@ -990,13 +1353,28 @@ class GraphProgram:
             tmp = np.empty(node.shape)
             tmp2 = np.empty(node.shape)
 
-            def pow_bwd(o, p=parents[0]):
-                np.power(S[p], exponent - 1, out=tmp)
-                np.multiply(g, exponent, out=tmp2)
-                np.multiply(tmp2, tmp, out=o)
+            def pow_bwd(o, r):
+                t, t2 = tmp[r], tmp2[r]
+                np.power(read[0](r), exponent - 1, out=t)
+                np.multiply(g[r], exponent, out=t2)
+                np.multiply(t2, t, out=o)
 
             return pow_bwd
         return None
+
+    @staticmethod
+    def _site_runner(compute, target, tmp, r) -> Callable[[], None]:
+        """One site on rows ``r``: write (first) or accumulate via ``tmp``."""
+        out = target[r]
+        if tmp is None:
+            return lambda: compute(out, r)
+        scratch = tmp[r]
+
+        def accumulate() -> None:
+            compute(scratch, r)
+            np.add(out, scratch, out=out)
+
+        return accumulate
 
     def _build_specialized_bwd(self, node: Node, sites) -> Optional[Callable]:
         op = OPS[node.op]
@@ -1014,7 +1392,7 @@ class GraphProgram:
             )
         except Exception:
             return None
-        runners = []
+        plan = []
         grads = self._grads
         for slot, parent, first, pshape in sites:
             if example[slot] is None:
@@ -1026,19 +1404,15 @@ class GraphProgram:
             compute = self._bwd_site_maker(node, slot, pshape)
             if compute is None:
                 return None
-            target = grads[parent]
-            if first:
-                runners.append(lambda compute=compute, target=target: compute(target))
-            else:
-                tmp = np.empty(pshape)
-
-                def accumulate(compute=compute, target=target, tmp=tmp):
-                    compute(tmp)
-                    target += tmp
-
-                runners.append(accumulate)
-        if not runners:
+            tmp = None if first else np.empty(pshape)
+            plan.append((compute, parent, grads[parent], tmp, pshape))
+        if not plan:
             return None
+        self._bwd_sites[node.id] = plan
+        runners = [
+            self._site_runner(compute, target, tmp, _ALL)
+            for compute, _, target, tmp, _ in plan
+        ]
 
         def run_specialized() -> None:
             for runner in runners:
@@ -1054,18 +1428,12 @@ class GraphProgram:
         attrs = node.attrs
         fast = self._bwd_kernels.get(nid)
         if fast is not None:
-            px, pw = parents
-
-            def run_fast_bwd() -> None:
-                dx, dw = fast(grads[nid], storage[px], storage[pw])
-                for slot, parent, first, pshape in sites:
-                    pg = dx if slot == 0 else dw
-                    if first:
-                        np.copyto(grads[parent], pg)
-                    else:
-                        grads[parent] += pg
-
-            return run_fast_bwd
+            # The lane form over every row, between its serial parts.
+            spec = self._conv_backward_lane_spec(node, sites, fast)
+            self._bwd_conv_specs[nid] = spec
+            return _chain(
+                [f for f in (spec.before, spec.rows(_ALL), spec.after) if f is not None]
+            )
         specialized = self._build_specialized_bwd(node, sites)
         if specialized is not None:
             return specialized
@@ -1094,20 +1462,281 @@ class GraphProgram:
 
         return run_bwd
 
+    # -- lane specs ----------------------------------------------------
+    def _row_separable(self, node: Node) -> bool:
+        """Is ``node`` batch-major: row b a function of input rows b?
+
+        Conservative by construction: conv and FC forward (batch-major
+        input, non-batch weight), elementwise ops whose other operands
+        broadcast along the batch axis, reshapes and transposes that
+        keep axis 0, getitems and sums that leave axis 0 whole.
+        """
+        batch = self._batch
+        shape = node.shape
+        if not shape or shape[0] != batch:
+            return False
+        nodes = self._trace.nodes
+        flags = [self._bm[p] for p in node.parents]
+        if not any(flags):
+            return False
+        pshapes = [nodes[p].shape for p in node.parents]
+        name, attrs = node.op, node.attrs
+        if OPS[name].elementwise:
+            return all(
+                len(s) == len(shape) if bm else len(s) < len(shape) or s[0] == 1
+                for s, bm in zip(pshapes, flags)
+            )
+        if name in ("conv2d", "conv_transpose2d"):
+            return flags == [True, False]
+        if name == "matmul":
+            return (
+                flags == [True, False]
+                and len(pshapes[0]) == len(shape) >= 2
+                and len(pshapes[1]) == 2
+            )
+        if name == "reshape":
+            return True
+        if name == "transpose":
+            axes = attrs.get("axes")
+            return axes is not None and tuple(axes)[0] == 0
+        if name == "getitem":
+            idx = attrs["idx"]
+            return (
+                isinstance(idx, tuple)
+                and bool(idx)
+                and isinstance(idx[0], slice)
+                and idx[0] == slice(None)
+                and self._is_basic_index(idx)
+            )
+        if name == "sum":
+            axis = attrs["axis"]
+            if axis is None:
+                return False
+            ndim = len(pshapes[0])
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            return all(a % ndim != 0 for a in axes)
+        return False
+
+    def _pure_view(self, node: Node) -> bool:
+        """Does this view instruction read no data that this step writes?
+
+        Views of inputs, params and constants read values fixed for the
+        whole step.  Of a value computed in this step only a numpy view
+        qualifies: transposes, getitems with basic indices (an advanced
+        index copies the rows it reads), and reshapes of a contiguous
+        program buffer.
+        """
+        nodes = self._trace.nodes
+        root = self.plan.root[node.id]
+        if nodes[root].kind != "op":
+            return True
+        if node.op == "getitem" and not self._is_basic_index(node.attrs["idx"]):
+            return False
+        parent = node.parents[0]
+        if parent == root:
+            return True
+        return node.op in ("getitem", "transpose") and self._pure_view(nodes[parent])
+
+    def _splits(self, node: Node) -> bool:
+        """May this batch-major value be computed on row slices?"""
+        if not self._bm[node.id]:
+            return False
+        if node.op == "matmul":
+            values = self._trace.values
+            return _gemm_rows_agree(values[node.parents[0]], values[node.parents[1]])
+        return True
+
+    def _backward_lane_spec(self, node: Node, sites, instr) -> Optional[_LaneSpec]:
+        nid = node.id
+        bm = self._bm
+        if not bm[nid]:
+            if any(bm[p] for p in node.parents):
+                return None
+            # Reads and writes no batch rows: runs after the lanes.
+            return _LaneSpec(
+                after=instr,
+                after_work=self._grads[nid].size,
+                touches=(nid,) + tuple(site[1] for site in sites),
+            )
+        conv = self._bwd_conv_specs.get(nid)
+        if conv is not None:
+            return conv
+        plan = self._bwd_sites.get(nid)
+        if plan is None:
+            return None
+        if node.op == "matmul":
+            # dx = g @ b^T on rows; g is not traced, any values will do.
+            g = np.random.default_rng(0).standard_normal(node.shape)
+            b = self._trace.values[node.parents[1]]
+            if not _gemm_rows_agree(g, np.swapaxes(b, -1, -2)):
+                return None
+        rows_sites, late, late_parents = [], [], []
+        for compute, parent, target, tmp, pshape in plan:
+            if not bm[parent]:
+                # A batch reduction (bias, weight): whole, after the lanes.
+                late.append(self._site_runner(compute, target, tmp, _ALL))
+                late_parents.append(parent)
+            elif node.op in ("add", "sub") and pshape != node.shape:
+                return None
+            else:
+                rows_sites.append((compute, target, tmp))
+        size = self._grads[nid].size
+        if node.op == "matmul":
+            size *= self._trace.nodes[node.parents[0]].shape[-1] // 4
+        late_spec = dict(
+            after=_chain(late) if late else None,
+            after_work=size * len(late),
+            touches=tuple(late_parents),
+        )
+        if not rows_sites:
+            return _LaneSpec(**late_spec)
+
+        def site_rows(r):
+            return _chain(
+                [self._site_runner(c, target, tmp, r) for c, target, tmp in rows_sites]
+            )
+
+        return _LaneSpec(rows=site_rows, work=size * len(rows_sites), **late_spec)
+
+    def _conv_backward_lane_spec(self, node: Node, sites, fast) -> _LaneSpec:
+        """dx and the per-sample dW products in lanes; the dW batch sum
+        (or short-contraction GEMM) after them."""
+        S, grads = self._storage, self._grads
+        nid = node.id
+        px, pw = node.parents
+        g = grads[nid]
+        dx_sites = [(grads[p], first) for slot, p, first, _ in sites if slot == 0]
+        dw_sites = [(grads[p], first) for slot, p, first, _ in sites if slot == 1]
+        read_x = self._reader(px)
+
+        def conv_rows(r):
+            lane = fast.lane(r)
+            g_rows = g[r]
+            targets = [(target[r], first) for target, first in dx_sites]
+
+            def run_conv_rows() -> None:
+                dx = lane(g_rows, read_x(r), S[pw])
+                for target, first in targets:
+                    if first:
+                        np.copyto(target, dx)
+                    else:
+                        np.add(target, dx, out=target)
+
+            return run_conv_rows
+
+        def weight_grad() -> None:
+            dw = fast.weight_grad()
+            for target, first in dw_sites:
+                if first:
+                    np.copyto(target, dw)
+                else:
+                    target += dw
+
+        flips = getattr(fast, "dx_as_conv", False)
+        return _LaneSpec(
+            rows=conv_rows,
+            before=(lambda: fast.prepare(S[pw])) if flips else None,
+            after=weight_grad,
+            work=fast.work,
+            after_work=fast.gemm_dw.reduce_work,
+            touches=tuple(p for slot, p, _, _ in sites if slot == 1),
+        )
+
+    # -- lane plans ----------------------------------------------------
+    @property
+    def batch(self) -> int:
+        """The batch size lanes split (0 when the inputs do not share one)."""
+        return self._batch
+
+    def build_lane_plan(
+        self, lanes: int, forward: Optional[Sequence[Tuple[Callable, Optional[_LaneSpec]]]] = None
+    ) -> LanePlan:
+        """An unprobed :class:`LanePlan` for ``lanes`` lanes.
+
+        ``forward`` replaces the forward ``(instr, spec)`` steps (the
+        recorded loop substitutes its gathered leading convolution).
+        Raises :class:`CompileUnsupported` when the program cannot split.
+        """
+        if self._fwd_specs is None:
+            raise CompileUnsupported("kernel profiling (REPRO_PROFILE=1) runs single-lane")
+        if lanes > MAX_LANES:
+            raise CompileUnsupported(f"{lanes} lanes exceed the cap of {MAX_LANES}")
+        if not 2 <= lanes <= self._batch:
+            raise CompileUnsupported(f"{lanes} lanes need a batch of at least {lanes}")
+        if forward is None:
+            forward = list(zip(self._forward, self._fwd_specs))
+        return LanePlan(
+            forward, list(zip(self._backward, self._bwd_specs)), self._batch, lanes
+        )
+
+    def probe_lanes(self, inputs: Sequence[np.ndarray], lanes: int) -> Optional[str]:
+        """Build the ``lanes``-lane plan and check it bitwise (cached).
+
+        Runs the program unsplit on ``inputs``, then on NaN inputs
+        (:meth:`poison`), then split on ``inputs``; every output and
+        parameter gradient must be ``array_equal``.  Returns None on
+        success, else the reason the program stays single-lane at this
+        lane count (also kept in :attr:`lane_rejects`; a split that
+        differed also counts in ``stats.lane_rejects``).
+        """
+        if lanes in self._lane_plans:
+            return None
+        if lanes in self.lane_rejects:
+            return self.lane_rejects[lanes]
+        try:
+            plan = self.build_lane_plan(lanes)
+        except CompileUnsupported as error:
+            self.lane_rejects[lanes] = str(error)
+            return self.lane_rejects[lanes]
+        reference = {k: np.array(v) for k, v in self.run(inputs).items()}
+        grads = [np.array(buf) for _, buf in self._param_grad_binds]
+        self.poison(inputs)
+        # Lanes run one after another here; row-disjoint lanes give the
+        # same values on helper threads.
+        split = self._replay(inputs, plan, ())
+        if not all(np.array_equal(split[k], v) for k, v in reference.items()):
+            reason = "a split output differs from the single-lane program"
+        elif not all(
+            np.array_equal(buf, ref)
+            for (_, buf), ref in zip(self._param_grad_binds, grads)
+        ):
+            reason = "a split parameter gradient differs from the single-lane program"
+        else:
+            self._lane_plans[lanes] = plan
+            return None
+        self.lane_rejects[lanes] = reason
+        self.stats.lane_rejects += 1
+        return reason
+
+    def poison(self, inputs: Sequence[np.ndarray]) -> None:
+        """Replay on NaN inputs shaped like ``inputs``.
+
+        Afterwards every buffer that depends on the inputs holds NaN, so
+        a split replay that read a value before its region wrote it (a
+        stale read) differs from the reference instead of repeating the
+        previous replay's equal values.
+        """
+        with np.errstate(all="ignore"):
+            self.run([np.full_like(a, np.nan) for a in inputs])
+
     # ------------------------------------------------------------------
     def run(self, inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
         """One forward+backward replay; parameter grads land in ``.grad``."""
+        return self._replay(inputs, None, ())
+
+    def _replay(self, inputs, plan: Optional[LanePlan], helpers) -> Dict[str, np.ndarray]:
+        """:meth:`run` through ``plan`` (single-lane when None), its
+        regions fanned out over ``helpers`` (lanes in turn when empty)."""
         storage = self._storage
         for nid, position in self._input_binds:
             storage[nid] = inputs[position]
         for nid, tensor in self._param_binds:
             storage[nid] = tensor.data
-        for instr in self._forward:
-            instr()
+        forward, backward = self._serial if plan is None else (plan.forward, plan.backward)
+        LanePlan.run(forward, helpers)
         for tensor, grad_buf in self._param_grad_binds:
             tensor.grad = grad_buf
-        for instr in self._backward:
-            instr()
+        LanePlan.run(backward, helpers)
         return {name: storage[nid] for name, nid in self._outputs.items()}
 
     def verify(self, inputs: Sequence[np.ndarray], traced: Dict[str, Tensor]) -> None:
@@ -1236,6 +1865,7 @@ class CompiledTrainStep:
         return {name: float(value) for name, value in outputs.items()}
 
     def _compile(self, arrays: Tuple[np.ndarray, ...]) -> GraphProgram:
+        cap_blas_threads()
         input_tensors = [Tensor(a) for a in arrays]
         with Trace(params=self.params, inputs=input_tensors) as trace:
             outputs = self.step_fn(*input_tensors)
@@ -1262,6 +1892,14 @@ class CompiledTrainStep:
             stats=self.stats,
         )
         program.verify(arrays, outputs)
+        # Build-time lane probe on the traced arrays: the split a trainer
+        # of this process would replay must be bitwise equal to the
+        # single-lane program, or it is never used.
+        lanes = min(BUDGET.default_lanes(), program.batch)
+        if lanes > 1:
+            program.probe_lanes(arrays, lanes)
+            for p in self.params:
+                p.grad = None
         if ir_verify_enabled():
             # Optional static pass (REPRO_IR_VERIFY=1): prove the plan
             # sound before caching it for replay.  Imported lazily —

@@ -29,6 +29,10 @@ checkpoint segment) per Python entry:
   preallocated ``(S, 4)`` array; the caller folds them into
   ``TrainStats`` in the original Python order, keeping loss traces
   bit-identical.
+* **Batch lanes** — each step asks the :mod:`repro.nn.lanes` budget for
+  helper threads and, when granted, replays the program's
+  :class:`~repro.nn.compile.LanePlan` (with the gathered convolution
+  split too); lanes never change values.
 
 **Equivalence contract**: the recorded loop must be *bitwise identical*
 to calling the compiled step once per step (the same
@@ -52,7 +56,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compile import CompiledTrainStep, CompileUnsupported, _Im2Col, compile_train_step
+from .compile import (
+    CompiledTrainStep,
+    CompileUnsupported,
+    LanePlan,
+    _ALL,
+    _Im2Col,
+    _LaneSpec,
+    compile_train_step,
+)
+from .lanes import BUDGET, MAX_LANES, LaneBudget
 from .optim import Adam
 
 __all__ = [
@@ -133,12 +146,22 @@ class CompiledTrainLoop:
         batch: int,
         pad: Callable[[np.ndarray], np.ndarray],
         noise_dim: int,
+        lanes: Optional[int] = None,
+        budget: Optional[LaneBudget] = None,
     ) -> "_LoopSession":
         """Open a recording session for one ``train_model`` call.
+
+        ``lanes`` caps the batch lanes a step may split into (default:
+        what ``budget`` would grant a lone trainer); ``budget`` is the
+        :class:`~repro.nn.lanes.LaneBudget` steps take helpers from
+        (default: the process-wide one).  Lanes never change values.
 
         Raises :class:`CompileUnsupported` when the step cannot compile
         or the loop cannot prove itself bitwise-equal to it.
         """
+        budget = budget if budget is not None else BUDGET
+        if lanes is None:
+            lanes = budget.default_lanes()
         count = len(all_grids)
         if count == 0 or batch <= 0:
             raise CompileUnsupported("recorded loop needs a non-empty dataset")
@@ -177,9 +200,11 @@ class CompiledTrainLoop:
         cols_ds = state.build_dataset_cols(all_grids, pad)
         session = _LoopSession(
             state, all_grids, targets, cdf, batch, pad, noise_dim, cols_ds,
-            loop=self,
+            loop=self, budget=budget,
         )
-        state.selfcheck(arrays, session, ex_idx)
+        lanes = min(lanes, MAX_LANES, program.batch)
+        state.selfcheck(arrays, session, ex_idx, lanes)
+        session.plan = state.lane_plans.get((lanes, cols_ds is not None))
         return session
 
 
@@ -247,6 +272,9 @@ class _LoopState:
 
         self._find_lead_conv()
         self._rebased = False
+        #: loop lane plans by (lanes, gather), and why others were refused
+        self.lane_plans: Dict[Tuple[int, bool], LanePlan] = {}
+        self.lane_rejects: Dict[Tuple[int, bool], str] = {}
 
     # -- flat-state rebasing -------------------------------------------
     def resync(self) -> None:
@@ -286,8 +314,8 @@ class _LoopState:
         trace = program._trace
         plan = program.plan
         self.conv_nid = None
-        self.fwd_instrs_pad = list(program._forward)
-        self.fwd_instrs_gather = self.fwd_instrs_pad
+        #: single-lane (forward, backward) steps, by gather mode
+        self.serial = {False: program._serial, True: program._serial}
         x_shape = trace.nodes[self.x_nid].shape
         self.pad_buf = np.zeros(x_shape)
         consumers = [
@@ -318,14 +346,22 @@ class _LoopState:
         out_mat = kern.out_mat
         cur_idx, cur_cols, w2d = self.cur_idx, self.cur_cols, self._w2d
 
-        def run_gathered_conv() -> None:
-            np.take(cur_cols[0], cur_idx[0], axis=0, out=unfold.cols)
-            np.matmul(w2d[0], unfold.cols_mat, out=out_mat)
+        def gathered_conv_rows(r):
+            cols, cols_mat, out = unfold.cols[r], unfold.cols_mat[r], out_mat[r]
+
+            def run_gathered_rows() -> None:
+                np.take(cur_cols[0], cur_idx[0][r], axis=0, out=cols)
+                np.matmul(w2d[0], cols_mat, out=out)
+
+            return run_gathered_rows
 
         slot = list(plan.sched).index(nid)
         instrs = list(program._forward)
-        instrs[slot] = run_gathered_conv
+        instrs[slot] = gathered_conv_rows(_ALL)
         self.fwd_instrs_gather = instrs
+        self.serial[True] = (LanePlan.serial(instrs), program._serial[1])
+        self.conv_slot = slot
+        self.gather_spec = _LaneSpec(rows=gathered_conv_rows, work=kern.work)
 
     def _bind_lead_conv_weight(self) -> None:
         if self.conv_nid is not None:
@@ -403,15 +439,22 @@ class _LoopState:
         np.divide(s1, s2, out=s1)
         self.flat_p -= s1
 
-    # -- the bitwise probe ---------------------------------------------
-    def selfcheck(
-        self, arrays: Tuple[np.ndarray, ...], session: "_LoopSession", ex_idx
-    ) -> None:
-        """One probe step, loop instructions vs ``GraphProgram.run``.
+    # -- lane plans ----------------------------------------------------
+    def _lane_plan(self, lanes: int, gather: bool) -> LanePlan:
+        """The program's lane plan with the loop's forward substitutions."""
+        program = self.program
+        if not gather:
+            return program.build_lane_plan(lanes)
+        specs = list(program._fwd_specs)
+        specs[self.conv_slot] = self.gather_spec
+        return program.build_lane_plan(
+            lanes, forward=list(zip(self.fwd_instrs_gather, specs))
+        )
 
-        Compares the four outputs and the gathered flat gradient bitwise;
-        touches no optimizer state and consumes no rng.
-        """
+    # -- the bitwise probe ---------------------------------------------
+    def _probe_step(self, arrays, session: "_LoopSession", ex_idx, plan) -> Tuple:
+        """One step through the loop's instructions (or ``plan``, lanes
+        run in turn); returns its outputs and gathered flat gradient."""
         program = self.program
         storage = program._storage
         gather = session.cols_ds is not None
@@ -424,27 +467,58 @@ class _LoopState:
         if gather:
             self.cur_idx[0] = np.asarray(ex_idx, dtype=np.intp)
             self.cur_cols[0] = session.cols_ds
-            instrs = self.fwd_instrs_gather
         else:
             session.fill_pad(self.pad_buf, arrays[1])
-            instrs = self.fwd_instrs_pad
-        for instr in instrs:
-            instr()
-        mine = [np.array(storage[nid]) for nid in self.out_ids]
-        for instr in program._backward:
-            instr()
+        forward, backward = (
+            self.serial[gather] if plan is None else (plan.forward, plan.backward)
+        )
+        LanePlan.run(forward, ())
+        outputs = [np.array(storage[nid]) for nid in self.out_ids]
+        LanePlan.run(backward, ())
         for view, buf in zip(self._g_views, self.grad_bufs):
             np.copyto(view, buf)
-        mine_g = self.flat_g.copy()
+        return outputs, self.flat_g.copy()
 
+    def selfcheck(
+        self, arrays: Tuple[np.ndarray, ...], session: "_LoopSession", ex_idx,
+        lanes: int = 1,
+    ) -> None:
+        """One probe step, loop instructions vs ``GraphProgram.run``.
+
+        Compares the four outputs and the gathered flat gradient bitwise;
+        touches no optimizer state and consumes no rng.  The ``lanes``
+        plan, when this state has not probed it yet, is checked the same
+        way (once, after :meth:`GraphProgram.poison` so a stale read
+        shows); a mismatch keeps it off without failing the loop.
+        """
+        program = self.program
+        mine, mine_g = self._probe_step(arrays, session, ex_idx, None)
         reference = program.run(arrays)
         names = ("loss", "reconstruction", "kl", "cost")
-        ok = all(
-            np.array_equal(mine[i], reference[names[i]]) for i in range(4)
-        )
+        ref = [np.array(reference[name]) for name in names]
         for view, buf in zip(self._g_views, self.grad_bufs):
             np.copyto(view, buf)
-        ok = ok and np.array_equal(mine_g, self.flat_g)
+        ref_g = self.flat_g.copy()
+
+        def same(outputs, flat_g) -> bool:
+            return all(np.array_equal(a, b) for a, b in zip(outputs, ref)) and (
+                np.array_equal(flat_g, ref_g)
+            )
+
+        ok = same(mine, mine_g)
+        key = (lanes, session.cols_ds is not None)
+        if ok and lanes > 1 and key not in self.lane_plans and key not in self.lane_rejects:
+            reason = program.probe_lanes(arrays, lanes)
+            if reason is None:
+                plan = self._lane_plan(*key)
+                program.poison(arrays)
+                if same(*self._probe_step(arrays, session, ex_idx, plan)):
+                    self.lane_plans[key] = plan
+                else:
+                    reason = "a split loop step differs from the per-step program"
+                    self.step.stats.lane_rejects += 1
+            if reason is not None:
+                self.lane_rejects[key] = reason
         # program.run pointed .grad back at its own buffers; restore the
         # flat views so callers observe the clipped gradients.
         for p, view in zip(self.params, self._g_views):
@@ -469,9 +543,15 @@ class _LoopSession:
         noise_dim: int,
         cols_ds: Optional[np.ndarray],
         loop: Optional["CompiledTrainLoop"] = None,
+        budget: Optional[LaneBudget] = None,
     ) -> None:
         self.state = state
         self.loop = loop
+        self.budget = budget if budget is not None else BUDGET
+        #: the probed lane plan this session may use (None: single-lane)
+        self.plan: Optional[LanePlan] = None
+        #: the most lanes any step of this session ran with
+        self.lanes_used = 1
         self.all_grids = np.asarray(all_grids, dtype=np.float64)
         self.targets = np.asarray(targets, dtype=np.float64)
         self.cdf = cdf
@@ -490,8 +570,14 @@ class _LoopSession:
         """Replay ``steps`` training steps; returns per-step ``(S, 4)`` losses.
 
         Consumes exactly two generator draws per step (indices then
-        noise), in the per-step order.
+        noise), in the per-step order.  Each step takes helpers from the
+        lane budget (see :mod:`repro.nn.lanes`) and runs split when it
+        got some; the values do not depend on it.
         """
+        with self.budget.training():
+            return self._run(steps, rng)
+
+    def _run(self, steps: int, rng: np.random.Generator) -> np.ndarray:
         state = self.state
         state.resync()
         program = state.program
@@ -507,10 +593,7 @@ class _LoopSession:
             storage[nid] = tensor.data
         if gather:
             state.cur_cols[0] = self.cols_ds
-            instrs = state.fwd_instrs_gather
-        else:
-            instrs = state.fwd_instrs_pad
-        backward = program._backward
+        serial = state.serial[gather]
         out_loss, out_rec, out_kl, out_cost = state.out_ids
         cdf = self.cdf
         all_grids, targets = self.all_grids, self.targets
@@ -519,6 +602,8 @@ class _LoopSession:
         flat_update = state.flat_update
         fill_pad = self.fill_pad
         pad_buf = state.pad_buf
+        budget, plan = self.budget, self.plan
+        lane_steps = 0
 
         done = 0
         chunk_cap = max(
@@ -541,17 +626,26 @@ class _LoopSession:
                     state.cur_idx[0] = idx
                 else:
                     fill_pad(pad_buf, g_buf)
-                for instr in instrs:
-                    instr()
-                row = losses[done + s]
-                row[0] = storage[out_loss]
-                row[1] = storage[out_rec]
-                row[2] = storage[out_kl]
-                row[3] = storage[out_cost]
-                for instr in backward:
-                    instr()
+                helpers = budget.grant(plan.lanes) if plan is not None else []
+                try:
+                    forward, backward = (
+                        (plan.forward, plan.backward) if helpers else serial
+                    )
+                    LanePlan.run(forward, helpers)
+                    row = losses[done + s]
+                    row[0] = storage[out_loss]
+                    row[1] = storage[out_rec]
+                    row[2] = storage[out_kl]
+                    row[3] = storage[out_cost]
+                    LanePlan.run(backward, helpers)
+                finally:
+                    budget.release(helpers)
+                if helpers:
+                    lane_steps += 1
+                    self.lanes_used = max(self.lanes_used, len(helpers) + 1)
                 flat_update()
             done += chunk
+        self.state.step.stats.lane_steps += lane_steps
         self.state.step.stats.replays += steps
         if self.loop is not None:
             self.loop.segments_replayed += 1

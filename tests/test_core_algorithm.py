@@ -44,6 +44,75 @@ class TestInitialDataset:
         assert sim.exhausted()
 
 
+def per_graph_initial_dataset(simulator, size, rng, dataset=None):
+    """The seed phase as it was: one query per seed graph."""
+    from repro.core import CircuitDataset
+    from repro.opt import BudgetExhausted
+    from repro.opt.variation import mutate, random_population
+    from repro.prefix.structures import STRUCTURES
+
+    dataset = dataset or CircuitDataset()
+    n = simulator.task.n
+    seeds = [builder(n) for builder in STRUCTURES.values()]
+    seeds += random_population(n, max(size // 4, 4), rng)
+    try:
+        for graph in seeds:
+            dataset.add_evaluations([simulator.query(graph)])
+            if len(dataset) >= size:
+                break
+        while len(dataset) < size:
+            idx = rng.choice(len(dataset), p=dataset.weights())
+            child = mutate(dataset.graphs[idx], rng, rate=0.03)
+            dataset.add_evaluations([simulator.query(child)])
+    except BudgetExhausted:
+        pass
+    return dataset
+
+
+class TestInitialDatasetBatchedSeeds:
+    """The batched seed phase must reproduce the per-graph records."""
+
+    @staticmethod
+    def records(sim, ds, rng):
+        history = [(e.graph.key(), e.cost, e.area_um2, e.delay_ns) for e in sim.history]
+        return history, [g.key() for g in ds.graphs], ds.costs_list, rng.random()
+
+    @pytest.mark.parametrize(
+        "size, budget, prefill",
+        [
+            (1, 100, 0),  # the first seed alone
+            (3, 100, 0),  # stops inside the classical structures
+            (12, 100, 0),  # runs into the random seeds
+            (30, 100, 0),  # seeds, then the mutation phase
+            (30, 5, 0),  # budget runs out among the seeds
+            (30, 100, 2),  # a pre-filled dataset already holds seeds
+            (4, 100, 6),  # pre-filled past the size: one seed still queried
+        ],
+    )
+    @pytest.mark.parametrize("engine", [False, True])
+    def test_matches_per_graph_path(self, size, budget, prefill, engine):
+        from repro.core import CircuitDataset
+        from repro.engine import EvaluationEngine
+        from repro.prefix.structures import STRUCTURES
+
+        task = adder_task(8, 0.66)
+        runs = []
+        for build in (build_initial_dataset, per_graph_initial_dataset):
+            with EvaluationEngine() as backend:
+                sim = (
+                    backend.simulator(task, budget=budget)
+                    if engine
+                    else CircuitSimulator(task, budget=budget)
+                )
+                ds = CircuitDataset()
+                for builder in list(STRUCTURES.values())[:prefill]:
+                    ds.add(builder(8), 0.0)
+                rng = np.random.default_rng(7)
+                ds = build(sim, size, rng, dataset=ds)
+                runs.append(self.records(sim, ds, rng))
+        assert runs[0] == runs[1]
+
+
 class TestOptimizer:
     def test_full_run_exhausts_budget_and_improves(self):
         task = adder_task(8, 0.66)

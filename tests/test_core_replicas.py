@@ -275,3 +275,55 @@ class TestReplicaRoundPool:
         assert results[0].stacked and results[2].stacked
         assert not results[1].stacked
         assert len(results[1].total) == CFG.epochs
+
+    def test_stacked_failure_counts_and_falls_back_solo(self, monkeypatch):
+        """An exception inside stacked training is counted (telemetry
+        ``stacked_failures``), warned about once, and every member
+        trains solo exactly as it would have without the pool."""
+        import types
+        import warnings
+
+        from repro.core import replicas
+        from repro.core.training import report_training_round
+        from repro.engine.telemetry import EngineTelemetry
+
+        _, _, ref_stats = serial_reference(monkeypatch)
+        monkeypatch.setenv("REPRO_STACKED_REPLICAS", "1")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected stacking failure")
+
+        monkeypatch.setattr(replicas, "train_replicas", broken)
+        models, datasets, rngs, optimizers = fixtures()
+        pool = ReplicaRoundPool()
+        handles = {cid: pool.handle(cid) for cid in range(K)}
+        results = {}
+
+        def cell(cid):
+            results[cid] = train_model(
+                models[cid], datasets[cid], rngs[cid], CFG,
+                optimizer=optimizers[cid], replica_pool=handles[cid],
+            )
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            threads = [threading.Thread(target=cell, args=(cid,)) for cid in range(K)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive(), "pool rendezvous deadlocked"
+        failures = [w for w in caught if "injected stacking failure" in str(w.message)]
+        assert len(failures) == 1
+        for cid in range(K):
+            assert handles[cid].failure == "RuntimeError: injected stacking failure"
+            stats = results[cid]
+            assert stats.stacked_failed and not stats.stacked
+            for name in CURVES:
+                assert getattr(stats, name) == getattr(ref_stats[cid], name)
+            telemetry = EngineTelemetry()
+            report_training_round(
+                types.SimpleNamespace(telemetry=telemetry, on_training=None), stats, 0
+            )
+            assert telemetry.stacked_failures == 1
+            assert telemetry.train_epochs == CFG.epochs
