@@ -30,6 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..engine.cache import task_fingerprint
 from ..engine.telemetry import snapshot_delta
+from ..obs import trace
 from ..obs.sink import TraceSink
 from ..obs.trace import Tracer
 from ..opt.results import RunRecord
@@ -414,24 +415,28 @@ class RunHandle:
                     parallel_seeds=self._session.parallel_seeds,
                     observer=observer,
                 )
-            result = ExperimentResult(
-                spec=self.spec,
-                records=records,
-                telemetry=_sum_telemetry(
-                    [
-                        r.telemetry
-                        for rs in records.values()
-                        for r in rs
-                        if r.telemetry is not None
-                    ]
-                ),
-                run_dir=self.run_dir_path,
-                trace_path=(
-                    self.run_dir.trace_path() if tracer is not None else None
-                ),
-            )
-            if self.run_dir is not None:
-                self.run_dir.write_final_records(result.all_records())
+            # Result assembly and the final records write are the run's
+            # last work inside the root span; spanning them keeps the
+            # experiment's wall-clock attributed to named children.
+            with trace.span("finalize"):
+                result = ExperimentResult(
+                    spec=self.spec,
+                    records=records,
+                    telemetry=_sum_telemetry(
+                        [
+                            r.telemetry
+                            for rs in records.values()
+                            for r in rs
+                            if r.telemetry is not None
+                        ]
+                    ),
+                    run_dir=self.run_dir_path,
+                    trace_path=(
+                        self.run_dir.trace_path() if tracer is not None else None
+                    ),
+                )
+                if self.run_dir is not None:
+                    self.run_dir.write_final_records(result.all_records())
             self._result = result
             status = "finished"
         except RunInterrupted:

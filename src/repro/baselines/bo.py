@@ -136,12 +136,7 @@ class LatentBO(SearchAlgorithm):
             # Decode + one batched population evaluation (vectorized on
             # an engine-backed simulator).
             _designs, evaluations = decode_and_query(
-                self.model,
-                candidates[top],
-                simulator,
-                rng,
-                telemetry,
-                structural_context=self.dataset.graphs[-8:],
+                self.model, candidates[top], simulator, rng, telemetry
             )
             new_points = self.dataset.add_evaluations(evaluations)
             if new_points == 0 and not simulator.exhausted():
@@ -155,6 +150,6 @@ class LatentBO(SearchAlgorithm):
                 ]
                 explore = [mutate(g, rng, rate=0.05) for g in parents]
                 self.dataset.add_evaluations(
-                    simulator.query_many(explore, structural_context=parents)
+                    simulator.query_many(explore)
                 )
         return simulator.best()

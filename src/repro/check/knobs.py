@@ -51,13 +51,6 @@ _ALL: Tuple[KnobDef, ...] = (
         kill_switch=True,
     ),
     KnobDef(
-        "REPRO_INCREMENTAL_EVAL",
-        "`1` (on)",
-        "`0` disables delta-aware incremental synthesis (populations take "
-        "the plain vectorized flow; results are bit-identical either way).",
-        kill_switch=True,
-    ),
-    KnobDef(
         "REPRO_COMPILED_TRAIN",
         "`1` (on)",
         "`0` forces VAE training onto the eager define-by-run tape (the "
@@ -126,13 +119,8 @@ _ALL: Tuple[KnobDef, ...] = (
     KnobDef(
         "REPRO_BENCH_POPULATION",
         "`64`",
-        "Population size for the batched/incremental eval benches; the "
-        "speedup gates only arm at 64+.",
-    ),
-    KnobDef(
-        "REPRO_BENCH_BITS",
-        "`32`",
-        "Adder bitwidth for the incremental-eval bench.",
+        "Population size for the batched-eval bench; the speedup gate "
+        "only arms at 64+.",
     ),
     KnobDef(
         "REPRO_BENCH_TRAIN_EPOCHS",
@@ -172,8 +160,9 @@ _ALL: Tuple[KnobDef, ...] = (
     ),
     KnobDef(
         "REPRO_BENCH_OUT",
-        "unset (repo root)",
-        "Directory the benches write their `BENCH_*.json` records into.",
+        "unset (`BENCH_<name>.json` at the repo root)",
+        "File path a bench writes its JSON record to, used verbatim (so "
+        "set it per bench process, not once for a multi-bench run).",
     ),
 )
 

@@ -637,10 +637,7 @@ def fast_path_rule(context: CheckContext) -> Iterator[Finding]:
 #: rel-path prefixes reached from both the EvalDaemon event loop and
 #: pool/thread entry points (parallel seeds share one in-process engine).
 _SHARED_PREFIXES = ("src/repro/serve/", "src/repro/engine/")
-_SHARED_FILES = (
-    "src/repro/synth/incremental.py",
-    "src/repro/synth/batched.py",
-)
+_SHARED_FILES = ("src/repro/synth/batched.py",)
 
 _MUTABLE_CALLS = {
     "dict",

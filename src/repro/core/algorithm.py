@@ -185,12 +185,7 @@ class CircuitVAEOptimizer(SearchAlgorithm):
             # whole captured population goes through one EvalBatch, which
             # an engine-backed simulator vectorizes.
             _designs, evaluations = decode_and_query(
-                model,
-                trace.captured_latents,
-                simulator,
-                rng,
-                telemetry,
-                structural_context=self.dataset.graphs[-8:],
+                model, trace.captured_latents, simulator, rng, telemetry
             )
             new_points = self.dataset.add_evaluations(evaluations)
             if simulator.history:
@@ -206,6 +201,6 @@ class CircuitVAEOptimizer(SearchAlgorithm):
                 ]
                 explore = [mutate(g, rng, rate=0.05) for g in parents]
                 self.dataset.add_evaluations(
-                    simulator.query_many(explore, structural_context=parents)
+                    simulator.query_many(explore)
                 )
         return simulator.best()

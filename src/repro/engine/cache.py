@@ -56,7 +56,6 @@ from ..obs import trace
 
 __all__ = [
     "task_fingerprint",
-    "ConeBaseTier",
     "EvaluationCache",
     "default_cache_dir",
 ]
@@ -423,59 +422,3 @@ class EvaluationCache:
     def __repr__(self) -> str:
         where = self.cache_dir or "memory-only"
         return f"EvaluationCache({where}, entries={len(self)})"
-
-
-class ConeBaseTier:
-    """Sub-graph base tier: recently evaluated graphs per task fingerprint.
-
-    The exact-key cache above dedups *identical* circuits; this tier
-    remembers the **structures** the engine has recently synthesized so
-    the next population can ride the delta pipeline against them even
-    when no candidate repeats exactly.  Entries are namespaced by task
-    fingerprint and deduped by canonical graph key; the cone-hash
-    matching itself (multiset overlap of Merkle fanin-cone keys, see
-    :mod:`repro.prefix.canonical`) happens in
-    :func:`repro.synth.incremental.plan_deltas`, which receives these
-    graphs as ``base_hints``.
-
-    Bounded to ``per_task_limit`` graphs per fingerprint (LRU) because
-    every hint costs one counter comparison per candidate at planning
-    time — a handful of recent bases captures population overlap across
-    engine batches without planning cost creeping toward O(n^2).
-    """
-
-    def __init__(self, per_task_limit: int = 8) -> None:
-        if per_task_limit < 1:
-            raise ValueError("per_task_limit must be positive")
-        self.per_task_limit = per_task_limit
-        self._lock = threading.Lock()
-        self._bases: Dict[str, "OrderedDict[bytes, object]"] = {}
-
-    def bases(self, fingerprint: str) -> list:
-        """Recently remembered graphs for one task, newest first."""
-        with self._lock:
-            tier = self._bases.get(fingerprint)
-            if not tier:
-                return []
-            return list(reversed(tier.values()))
-
-    def remember(self, fingerprint: str, graphs) -> None:
-        """Record evaluated graphs as future delta bases (LRU per task)."""
-        with self._lock:
-            tier = self._bases.setdefault(fingerprint, OrderedDict())
-            for graph in graphs:
-                key = graph.key()
-                if key in tier:
-                    tier.move_to_end(key)
-                else:
-                    tier[key] = graph
-            while len(tier) > self.per_task_limit:
-                tier.popitem(last=False)
-
-    def __repr__(self) -> str:
-        with self._lock:
-            total = sum(len(t) for t in self._bases.values())
-        return (
-            f"ConeBaseTier(tasks={len(self._bases)}, bases={total}, "
-            f"limit={self.per_task_limit})"
-        )

@@ -4,7 +4,7 @@ This is the machinery behind every figure/table bench: the paper runs each
 experiment "with five different random seeds and independently collected
 initial datasets" and reports medians and interquartile ranges.
 
-Both entry points optionally route through a
+The seed grid optionally routes through a
 :class:`repro.engine.EvaluationEngine`: every seed then gets an
 engine-backed simulator sharing one persistent cache and worker pool, and
 ``parallel_seeds > 1`` runs seeds concurrently on threads (the heavy
@@ -17,25 +17,20 @@ equivalent to per-cell training within floating-point reassociation
 (``REPRO_STACKED_REPLICAS=0`` restores strictly bit-identical per-cell
 training; checkpointed cells always train per-cell).
 
-.. deprecated::
-    :func:`run_method` and :func:`run_comparison` are thin shims kept for
-    backward compatibility.  New code should describe the grid as a
-    :class:`repro.api.ExperimentSpec` and run it through
-    :meth:`repro.api.Session.run`, which owns the engine lifecycle and
-    resolves methods by name from the registry.
+The public entry point is :meth:`repro.api.Session.run`: it describes the
+grid as a :class:`repro.api.ExperimentSpec`, owns the engine lifecycle and
+resolves methods by name from the registry.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..circuits.task import CircuitTask
 from ..obs import trace
-from ..utils.rng import seed_sequence
 from .optimizer import SearchAlgorithm
 from .results import RunRecord
 from .simulator import BudgetExhausted, CircuitSimulator
@@ -43,7 +38,7 @@ from .simulator import BudgetExhausted, CircuitSimulator
 if TYPE_CHECKING:  # runtime import would cycle: repro.engine imports repro.opt
     from ..engine.service import EvaluationEngine
 
-__all__ = ["run_method", "run_comparison", "GridObserver", "RunInterrupted"]
+__all__ = ["GridObserver", "RunInterrupted"]
 
 AlgorithmFactory = Callable[[int], SearchAlgorithm]
 
@@ -142,9 +137,8 @@ def _run_seed_grid(
     parallel_seeds: int = 1,
     observer: Optional[GridObserver] = None,
 ) -> List[RunRecord]:
-    """The engine room behind :meth:`repro.api.Session.run` (and the
-    deprecated shims below): one algorithm across seeds, one fresh
-    simulator per run.
+    """The engine room behind :meth:`repro.api.Session.run`: one
+    algorithm across seeds, one fresh simulator per run.
 
     ``factory(seed)`` builds the algorithm instance (so per-seed
     configuration like initial-dataset sizes can vary, as in the paper's
@@ -240,85 +234,3 @@ def _run_seed_grid(
                 records.extend(pool.map(_run_one, wave, handles))
         return records
     return [_run_one(seed) for seed in seeds]
-
-
-def run_method(
-    factory: AlgorithmFactory,
-    task: CircuitTask,
-    budget: int,
-    seeds: Sequence[int],
-    method_name: Optional[str] = None,
-    engine: Optional["EvaluationEngine"] = None,
-    parallel_seeds: int = 1,
-) -> List[RunRecord]:
-    """Run one algorithm across seeds; one fresh simulator per run.
-
-    ``factory(seed)`` builds the algorithm instance.  Pass an ``engine``
-    (:class:`repro.engine.EvaluationEngine`) to share a persistent cache
-    and synthesis worker pool across seeds; ``parallel_seeds`` runs that
-    many seeds concurrently.
-
-    .. deprecated::
-        Prefer :meth:`repro.api.Session.run` with an
-        :class:`repro.api.ExperimentSpec` — it resolves methods by
-        registry name, owns the engine, and returns aggregated results.
-    """
-    warnings.warn(
-        "run_method is deprecated; describe the experiment as a "
-        "repro.api.ExperimentSpec and run it with repro.api.Session.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_seed_grid(
-        factory,
-        task,
-        budget,
-        seeds,
-        method_name=method_name,
-        engine=engine,
-        parallel_seeds=parallel_seeds,
-    )
-
-
-def run_comparison(
-    factories: Dict[str, AlgorithmFactory],
-    task: CircuitTask,
-    budget: int,
-    num_seeds: int = 3,
-    base_seed: int = 0,
-    engine: Optional["EvaluationEngine"] = None,
-    parallel_seeds: int = 1,
-) -> Dict[str, List[RunRecord]]:
-    """Run several methods on one task with paired seeds.
-
-    Returns {method: [RunRecord per seed]} with all methods sharing the
-    same seed list, which keeps the Table-1 speedup pairing meaningful.
-    ``engine`` (a :class:`repro.engine.EvaluationEngine` or ``None``) and
-    ``parallel_seeds`` forward to the per-method grid; with an engine,
-    methods additionally share cache entries (e.g. the classical seed
-    structures every method evaluates are synthesized exactly once).
-
-    .. deprecated::
-        Prefer :meth:`repro.api.Session.run` — an
-        :class:`repro.api.ExperimentSpec` with several method specs is
-        the declarative form of this call.
-    """
-    warnings.warn(
-        "run_comparison is deprecated; describe the experiment as a "
-        "repro.api.ExperimentSpec and run it with repro.api.Session.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    seeds = seed_sequence(base_seed, num_seeds)
-    return {
-        name: _run_seed_grid(
-            factory,
-            task,
-            budget,
-            seeds,
-            method_name=name,
-            engine=engine,
-            parallel_seeds=parallel_seeds,
-        )
-        for name, factory in factories.items()
-    }

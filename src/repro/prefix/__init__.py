@@ -5,7 +5,6 @@ circuits, legalization, classical structures, functional verification, and
 structural metrics.
 """
 
-from .canonical import cone_key, cone_keys, shared_cone_stats, signature
 from .encoding import (
     bits_to_graph,
     free_cells,
@@ -54,10 +53,6 @@ from .verify import (
 __all__ = [
     "PrefixGraph",
     "Span",
-    "cone_key",
-    "cone_keys",
-    "shared_cone_stats",
-    "signature",
     "graph_to_dict",
     "graph_from_dict",
     "save_designs",

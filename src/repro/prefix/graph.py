@@ -182,17 +182,6 @@ class PrefixGraph:
             self._key = np.packbits(self.grid).tobytes()
         return self._key
 
-    def cone_keys(self) -> Dict[Span, bytes]:
-        """Merkle-style structural digest of every span's fanin cone.
-
-        Stable under node relabeling (see :mod:`repro.prefix.canonical`):
-        equal keys mean equal sub-circuits up to input renaming, the
-        similarity primitive of delta-aware incremental synthesis.
-        """
-        from .canonical import cone_keys
-
-        return cone_keys(self)
-
     def copy(self) -> "PrefixGraph":
         return PrefixGraph(self.grid.copy(), validate=False)
 

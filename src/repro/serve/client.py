@@ -277,12 +277,10 @@ class RemoteEngineSimulator(EngineSimulator):
 
     # ------------------------------------------------------------------
     def _evaluate_graphs(
-        self, graphs: List[PrefixGraph], structural_context=()
+        self, graphs: List[PrefixGraph]
     ) -> List[Tuple[float, float, float]]:
-        # The hint stays client-side: the daemon batches designs across
-        # tenants and keeps its own ConeBaseTier per fingerprint.
         if not graphs or not self._remote:
-            return super()._evaluate_graphs(graphs, structural_context)
+            return super()._evaluate_graphs(graphs)
         tracer = trace.current_tracer()
         span_ctx = tracer.current_context() if tracer is not None else None
         try:
@@ -301,7 +299,7 @@ class RemoteEngineSimulator(EngineSimulator):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return super()._evaluate_graphs(graphs, structural_context)
+            return super()._evaluate_graphs(graphs)
         if len(result.metrics) != len(graphs):
             raise RemoteEvaluationError(
                 "bad_reply",

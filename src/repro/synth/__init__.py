@@ -7,13 +7,6 @@ and the commercial-tool emulation used by the Fig. 6 experiment.
 """
 
 from .batched import synthesize_many
-from .incremental import (
-    IncrementalStats,
-    SHARE_THRESHOLD,
-    incremental_enabled,
-    plan_deltas,
-    synthesize_population,
-)
 from .commercial import CommercialTool
 from .cost import AREA_SCALE, DELAY_SCALE, CostWeights, cost_from_metrics
 from .library import Cell, CellLibrary, LIBRARIES, nangate45, scaled_library
@@ -74,11 +67,6 @@ __all__ = [
     "size_gates",
     "synthesize",
     "synthesize_many",
-    "synthesize_population",
-    "IncrementalStats",
-    "SHARE_THRESHOLD",
-    "incremental_enabled",
-    "plan_deltas",
     "CostWeights",
     "cost_from_metrics",
     "DELAY_SCALE",

@@ -2,31 +2,30 @@
 
 :func:`synthesize_many` produces, for a batch of legal prefix graphs on
 one task configuration, results **bit-identical** to calling
-:func:`repro.synth.physical.synthesize` on each graph — but with the hot
-parts of the flow (placement geometry, wire loads, static timing and the
-iterative sizing loop; together ~80% of scalar wall-clock) executed as
-vectorized numpy passes over the *whole batch* instead of one
-Python-interpreted netlist at a time.
+:func:`repro.synth.physical.synthesize` on each graph — but with the
+whole flow executed as vectorized numpy passes over the *whole batch*
+instead of one Python-interpreted netlist at a time.
 
-The flow has two halves with very different batching structure:
+The flow has two halves:
 
-1. **Structural half** (map → buffer) is per-graph and integer-valued.
-   It runs through a *lean builder* — a faithful re-derivation of
-   :func:`~repro.synth.mapping.map_prefix_graph` and
-   :func:`~repro.synth.physical.buffer_fanout` over plain lists instead
-   of :class:`~repro.synth.netlist.Netlist` objects — sharing one
-   stacked level array (:func:`repro.prefix.metrics.batch_levels`) and
-   one set of IO name/arrival/margin templates across the population.
-   Every net/gate index, sink order and float operation matches the
-   reference flow, so downstream timing sees the same circuit in the
-   same order.
+1. **Structural half** (map → buffer) builds every graph's netlist at
+   once (:func:`_build_flat`): the population's operator schedule,
+   propagate-needs table and gate blocks come from batch-wide numpy
+   scatters over the stacked grids, and fanout buffering touches only
+   the over-limit nets in Python.  It emits a :class:`_FlatPopulation`
+   whose gate order, sink order and column values are exactly those of
+   :func:`~repro.synth.mapping.map_prefix_graph` followed by
+   :func:`~repro.synth.physical.buffer_fanout`, so downstream timing
+   sees the same circuit in the same order.
 
 2. **Geometry + timing half** (place → STA → sizing) runs fully packed:
    all netlists are flattened into batch-wide index arrays (gates,
    nets, sink CSR, per-level schedule); logic depth is solved by
    vectorized longest-path relaxation, placement and wirelength by
    array arithmetic, and each sizing pass walks every graph's critical
-   path simultaneously, one path position per vectorized step.
+   path simultaneously, one path position per vectorized step.  The
+   first timing pass is a full STA; each sizing pass re-times only the
+   cones its swaps reach, stopping where an arrival is bitwise unchanged.
 
 Bit-identity discipline — the reference flow accumulates floats in
 well-defined orders, and every vectorized reduction here preserves them:
@@ -51,7 +50,6 @@ types, libraries, mapping styles, IO profiles and flow options.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -158,267 +156,15 @@ class _IOTemplate:
 
 
 # ----------------------------------------------------------------------
-# Lean structural builder (mirror of mapping.py + physical.buffer_fanout
-# over plain lists; gate ``i`` drives net ``num_pis + i``)
-# ----------------------------------------------------------------------
-class _LeanNetlist:
-    __slots__ = ("gate_cell", "gate_in", "gate_col", "net_sinks", "po_net",
-                 "num_pis", "num_buffers")
-
-    def __init__(self, num_pis: int):
-        self.num_pis = num_pis
-        self.gate_cell: List[int] = []
-        self.gate_in: List[List[int]] = []
-        self.gate_col: List[Optional[float]] = []
-        self.net_sinks: List[List[Tuple[int, int]]] = [[] for _ in range(num_pis)]
-        self.po_net: List[int] = []  # aligned with the template's po_names
-        self.num_buffers = 0
-
-    @property
-    def num_nets(self) -> int:
-        return self.num_pis + len(self.gate_cell)
-
-
-def _span_plan(graph: PrefixGraph, levels: np.ndarray):
-    """Operator schedule shared by all three mappings.
-
-    Returns the non-diagonal spans as ``(level, i, j, k)`` tuples — ``k``
-    the upper parent's column, so parents are (i, k) and (k-1, j) — in
-    the exact order ``PrefixGraph.topological_order()`` visits them,
-    plus the ``_propagate_consumers`` truth table as a list-of-lists.
-    """
-    n = graph.n
-    ops: List[Tuple[int, int, int, int]] = []
-    grid = graph.grid
-    level_list = levels.tolist()
-    for i in range(1, n):
-        cols = np.nonzero(grid[i, : i + 1])[0].tolist()
-        row_levels = level_list[i]
-        for j, k in zip(cols[:-1], cols[1:]):
-            ops.append((row_levels[j], i, j, k))
-    # topological_order(): sorted by (level, node) over *all* present
-    # spans; diagonals (level 0) are skipped by every mapper, so the
-    # relative order of operators is unchanged by dropping them.  (i, j)
-    # is unique, so the trailing k never influences the sort.
-    ops.sort()
-    needs = [[False] * n for _ in range(n)]
-    for _lev, i, j, k in reversed(ops):
-        needs[i][k] = True  # p_up always feeds the carry operator
-        if needs[i][j]:
-            needs[k - 1][j] = True  # p' = p_up & p_lo only if p' is needed
-    return ops, needs
-
-
-def _map_adder_lean(graph, tables, ops, needs, style) -> _LeanNetlist:
-    # The gate-construction sequence of mapping.map_adder with the
-    # Netlist bookkeeping inlined over plain lists (this is the hottest
-    # structural loop of the batch, hence the manual appends and the
-    # list-of-lists span tables instead of tuple-keyed dicts).
-    n = graph.n
-    ln = _LeanNetlist(2 * n)
-    gate_cell, gate_in, gate_col = ln.gate_cell, ln.gate_in, ln.gate_col
-    net_sinks = ln.net_sinks
-    npi = 2 * n
-    and2, xor2 = tables.smallest["AND2"], tables.smallest["XOR2"]
-    or2, aoi21, inv = (
-        tables.smallest["OR2"], tables.smallest["AOI21"], tables.smallest["INV"],
-    )
-
-    g = [[0] * n for _ in range(n)]  # g[i][j] = net carrying span (i, j)
-    p = [[0] * n for _ in range(n)]
-    index = 0
-    for i in range(n):
-        gate_cell.append(and2)
-        gate_in.append([i, n + i])
-        gate_col.append(i)
-        net_sinks.append([])
-        net_sinks[i].append((index, 0))
-        net_sinks[n + i].append((index, 1))
-        g[i][i] = npi + index
-        index += 1
-        gate_cell.append(xor2)
-        gate_in.append([i, n + i])
-        gate_col.append(i)
-        net_sinks.append([])
-        net_sinks[i].append((index, 0))
-        net_sinks[n + i].append((index, 1))
-        p[i][i] = npi + index
-        index += 1
-    aoi = style == "aoi"
-    for _lev, i, j, k in ops:
-        row_g, row_p = g[i], p[i]
-        p_up, g_lo, g_up = row_p[k], g[k - 1][j], row_g[k]
-        if aoi:
-            gate_cell.append(aoi21)
-            gate_in.append([p_up, g_lo, g_up])
-            gate_col.append(i)
-            net_sinks.append([])
-            net_sinks[p_up].append((index, 0))
-            net_sinks[g_lo].append((index, 1))
-            net_sinks[g_up].append((index, 2))
-            aoi_out = npi + index
-            index += 1
-            gate_cell.append(inv)
-            gate_in.append([aoi_out])
-            gate_col.append(i)
-            net_sinks.append([])
-            net_sinks[aoi_out].append((index, 0))
-        else:
-            gate_cell.append(and2)
-            gate_in.append([p_up, g_lo])
-            gate_col.append(i)
-            net_sinks.append([])
-            net_sinks[p_up].append((index, 0))
-            net_sinks[g_lo].append((index, 1))
-            and_out = npi + index
-            index += 1
-            gate_cell.append(or2)
-            gate_in.append([g_up, and_out])
-            gate_col.append(i)
-            net_sinks.append([])
-            net_sinks[g_up].append((index, 0))
-            net_sinks[and_out].append((index, 1))
-        row_g[j] = npi + index
-        index += 1
-        if needs[i][j]:
-            p_lo = p[k - 1][j]
-            gate_cell.append(and2)
-            gate_in.append([p_up, p_lo])
-            gate_col.append(i)
-            net_sinks.append([])
-            net_sinks[p_up].append((index, 0))
-            net_sinks[p_lo].append((index, 1))
-            row_p[j] = npi + index
-            index += 1
-    ln.po_net.append(p[0][0])  # s[0]
-    for i in range(1, n):
-        p_i, carry = p[i][i], g[i - 1][0]
-        gate_cell.append(xor2)
-        gate_in.append([p_i, carry])
-        gate_col.append(i)
-        net_sinks.append([])
-        net_sinks[p_i].append((index, 0))
-        net_sinks[carry].append((index, 1))
-        ln.po_net.append(npi + index)  # s[i]
-        index += 1
-    ln.po_net.append(g[n - 1][0])  # cout
-    return ln
-
-
-def _map_xor_or_lean(graph, tables, ops, circuit_type) -> _LeanNetlist:
-    """Shared body of the gray (XOR-prefix) and lzd (OR-prefix) mappings."""
-    n = graph.n
-    ln = _LeanNetlist(n)
-    gate_cell, gate_in, gate_col = ln.gate_cell, ln.gate_in, ln.gate_col
-    net_sinks = ln.net_sinks
-
-    def add(cell: int, inputs: List[int], column: int) -> int:
-        index = len(gate_cell)
-        gate_cell.append(cell)
-        gate_in.append(inputs)
-        gate_col.append(column)
-        net_sinks.append([])
-        for pin, net in enumerate(inputs):
-            net_sinks[net].append((index, pin))
-        return n + index
-
-    op_cell = tables.smallest["XOR2" if circuit_type == "gray" else "OR2"]
-    value = [[0] * n for _ in range(n)]  # value[i][j] = net of span (i, j)
-    for i in range(n):
-        value[i][i] = n - 1 - i
-    for _lev, i, j, k in ops:
-        value[i][j] = add(op_cell, [value[i][k], value[k - 1][j]], i)
-    if circuit_type == "gray":
-        for i in range(n):
-            ln.po_net.append(value[i][0])  # bin[n-1-i]
-        return ln
-    and2, inv = tables.smallest["AND2"], tables.smallest["INV"]
-    ln.po_net.append(value[0][0])  # hot[0]
-    prev_flag = value[0][0]
-    for i in range(1, n):
-        flag = value[i][0]
-        not_prev = add(inv, [prev_flag], i)
-        ln.po_net.append(add(and2, [flag, not_prev], i))  # hot[i]
-        prev_flag = flag
-    ln.po_net.append(add(inv, [value[n - 1][0]], n - 1))  # all_zero
-    return ln
-
-
-def _buffer_candidates(ln: _LeanNetlist, max_fanout: int) -> List[int]:
-    """Nets over the fanout limit, ascending (C-speed length scan)."""
-    lengths = np.fromiter(map(len, ln.net_sinks), np.int64, count=ln.num_nets)
-    return np.flatnonzero(lengths > max_fanout).tolist()
-
-
-def _buffer_fanout_lean(ln: _LeanNetlist, tables: _LibraryTables, max_fanout: int) -> None:
-    """Mirror of ``physical.buffer_fanout`` over the lean structure."""
-    if max_fanout < 2:
-        raise ValueError("max_fanout must be >= 2")
-    caps = tables.cap.tolist()  # python floats: exact values, faster sums
-    buf_pairs = list(zip(tables.buf_ids, tables.buf_caps))
-    gate_cell, gate_in, gate_col = ln.gate_cell, ln.gate_in, ln.gate_col
-    net_sinks = ln.net_sinks
-    npi = ln.num_pis
-    # Scalar buffer_fanout scans every net id descending (pop from the
-    # end of range(num_nets)); nets at or under the limit are no-ops, so
-    # pre-filtering them preserves the processing order exactly.  A net
-    # can only *lose* sinks, so the filter stays complete.
-    queue = _buffer_candidates(ln, max_fanout)
-    while queue:
-        net = queue.pop()
-        sinks = list(net_sinks[net])
-        if len(sinks) <= max_fanout:
-            continue
-        groups = [sinks[k : k + max_fanout] for k in range(0, len(sinks), max_fanout)]
-        for group in groups:
-            load = sum(caps[gate_cell[g]] for g, _ in group)
-            cell_id = buf_pairs[0][0]
-            for cell_id, cap in buf_pairs:
-                if cap * 4.0 >= load:
-                    break
-            sink_columns = [
-                gate_col[g] for g, _ in group if gate_col[g] is not None
-            ]
-            centroid = sum(sink_columns) / len(sink_columns) if sink_columns else None
-            index = len(gate_cell)
-            gate_cell.append(cell_id)
-            gate_in.append([net])
-            gate_col.append(centroid)
-            net_sinks.append([])
-            net_sinks[net].append((index, 0))
-            buf_out = npi + index
-            ln.num_buffers += 1
-            for sink in group:
-                net_sinks[net].remove(sink)
-                gate_index, pin = sink
-                gate_in[gate_index][pin] = buf_out
-                net_sinks[buf_out].append(sink)
-        if len(net_sinks[net]) > max_fanout:
-            queue.append(net)
-
-
-def _build_lean(graph, tables, circuit_type, options, levels) -> _LeanNetlist:
-    ops, needs = _span_plan(graph, levels)
-    if circuit_type == "adder":
-        ln = _map_adder_lean(graph, tables, ops, needs, options.mapping_style)
-    else:
-        ln = _map_xor_or_lean(graph, tables, ops, circuit_type)
-    _buffer_fanout_lean(ln, tables, options.max_fanout)
-    return ln
-
-
-# ----------------------------------------------------------------------
-# Flat population form (shared by the lean and the array builders)
+# Flat population form (the structural builder's output)
 # ----------------------------------------------------------------------
 class _FlatPopulation:
     """A population's structure as flat arrays, one step before packing.
 
     ``flat_pins`` holds *graph-local* net ids (gate ``i`` of a graph
     drives net ``num_pis + i``); ``gate_col`` uses NaN where a column
-    hint is missing (the reference flow's ``None``).  This is the common
-    input format of :class:`_PackedBatch`: the lean per-graph builders
-    flatten into it, and the incremental pipeline's vectorized builder
-    (:mod:`repro.synth.incremental`) emits it directly.
+    hint is missing (the reference flow's ``None``).  :func:`_build_flat`
+    emits it and :class:`_PackedBatch` consumes it.
     """
 
     __slots__ = (
@@ -437,42 +183,454 @@ class _FlatPopulation:
         self.num_buffers = num_buffers
 
 
-def _flatten_leans(leans: List[_LeanNetlist], template: _IOTemplate) -> _FlatPopulation:
-    gate_counts = np.array([len(ln.gate_cell) for ln in leans], dtype=np.int64)
-    G = int(gate_counts.sum())
-    gate_cell = np.fromiter(
-        chain.from_iterable(ln.gate_cell for ln in leans), np.int64, count=G
+# ----------------------------------------------------------------------
+# Vectorized structural builder (batch-wide mirror of mapping.py +
+# physical.buffer_fanout; gate ``i`` of a graph drives net num_pis + i)
+# ----------------------------------------------------------------------
+def _batch_ops(grids: np.ndarray, levels: np.ndarray):
+    """All graphs' operator schedules at once, in mapping visit order.
+
+    ``np.nonzero`` over the stacked grids walks cells in (graph, row,
+    column) order, so consecutive entries within one (graph, row) run
+    are a non-diagonal span ``(i, j)`` and its upper parent's column
+    ``k`` (parents ``(i, k)`` and ``(k-1, j)``).  Returns per-op arrays
+    ``(ob, oi, oj, ok, lev)`` sorted by ``(graph, level, i, j)`` — the
+    order ``PrefixGraph.topological_order()`` visits operators in (the
+    level-0 diagonals it also yields are skipped by every mapper).
+    """
+    b_idx, i_idx, j_idx = np.nonzero(grids)
+    if len(b_idx) > 1:
+        pair = (b_idx[:-1] == b_idx[1:]) & (i_idx[:-1] == i_idx[1:])
+    else:
+        pair = np.zeros(0, dtype=bool)
+    ob = b_idx[:-1][pair]
+    oi = i_idx[:-1][pair]
+    oj = j_idx[:-1][pair]
+    ok = j_idx[1:][pair]
+    lev = levels[ob, oi, oj]
+    order = np.lexsort((oj, oi, lev, ob))
+    return ob[order], oi[order], oj[order], ok[order], lev[order]
+
+
+def _batch_needs(B: int, n: int, ob, oi, oj, ok, lev) -> np.ndarray:
+    """Vectorized ``_propagate_consumers`` truth tables, all graphs.
+
+    The scalar sweep walks ops in descending (level, i, j) order; an op
+    at level L (its own node's level) only *writes* strictly lower-level
+    nodes (its parents) and only *reads* its own node, so processing one
+    level at a time is race-free and order within a level is immaterial.
+    """
+    needs = np.zeros((B, n, n), dtype=bool)
+    if not len(ob):
+        return needs
+    for level in range(int(lev.max()), 0, -1):
+        sel = lev == level
+        if not sel.any():
+            continue
+        sb, si, sj, sk = ob[sel], oi[sel], oj[sel], ok[sel]
+        needs[sb, si, sk] = True  # p_up always feeds the carry operator
+        cond = needs[sb, si, sj]  # p' = p_up & p_lo only if p' is needed
+        needs[sb[cond], sk[cond] - 1, sj[cond]] = True
+    return needs
+
+
+def _assemble_adder(graphs, tables, template, style, ob, oi, oj, ok, needs):
+    """Pre-buffering flat arrays for the adder mapping (all graphs)."""
+    n = graphs[0].n
+    B = len(graphs)
+    npi = template.num_pis  # 2n
+    and2, xor2 = tables.smallest["AND2"], tables.smallest["XOR2"]
+    or2, aoi21, inv = (
+        tables.smallest["OR2"], tables.smallest["AOI21"], tables.smallest["INV"],
     )
-    pin_counts = np.fromiter(
-        chain.from_iterable(map(len, ln.gate_in) for ln in leans),
-        np.int64, count=G,
-    )
-    flat_pins = np.fromiter(
-        chain.from_iterable(chain.from_iterable(ln.gate_in) for ln in leans),
-        np.int64, count=int(pin_counts.sum()),
-    )
-    column_parts = []
-    for ln in leans:
-        try:
-            column_parts.append(np.asarray(ln.gate_col, dtype=np.float64))
-        except TypeError:  # a None centroid (no sink columns): rare
-            column_parts.append(
-                np.array(
-                    [np.nan if col is None else col for col in ln.gate_col],
-                    dtype=np.float64,
+    needs_val = needs[ob, oi, oj]
+    block = 2 + needs_val.astype(np.int64)
+    op_counts = np.bincount(ob, minlength=B)
+    op_start = np.concatenate([[0], np.cumsum(op_counts)])
+    block_cum = np.concatenate([[0], np.cumsum(block)])
+    S = block_cum[op_start[1:]] - block_cum[op_start[:-1]]  # per-graph sizes
+    # Local index of each op's first gate: leaves, then prior blocks.
+    lb = 2 * n + (block_cum[:-1] - block_cum[op_start[:-1]][ob])
+
+    # Net tables: scatter every op's outputs, then gather parent nets —
+    # safe because each (graph, i, j) is written by exactly one op.
+    diag = np.arange(n)
+    G_net = np.zeros((B, n, n), dtype=np.int64)
+    P_net = np.zeros((B, n, n), dtype=np.int64)
+    G_net[:, diag, diag] = npi + 2 * diag
+    P_net[:, diag, diag] = npi + 2 * diag + 1
+    G_net[ob, oi, oj] = npi + lb + 1
+    P_net[ob[needs_val], oi[needs_val], oj[needs_val]] = (npi + lb + 2)[needs_val]
+    p_up = P_net[ob, oi, ok]
+    g_lo = G_net[ob, ok - 1, oj]
+    g_up = G_net[ob, oi, ok]
+    p_lo = P_net[ob, ok - 1, oj]
+
+    m = 2 * n + S + (n - 1)  # per-graph gate counts (pre-buffering)
+    goff = np.concatenate([[0], np.cumsum(m)])
+    M = int(goff[-1])
+    gate_cell = np.empty(M, dtype=np.int64)
+    gate_col = np.empty(M, dtype=np.float64)
+    pin_counts = np.empty(M, dtype=np.int64)
+    pins = np.full((M, 3), -1, dtype=np.int64)
+
+    # Leaf g/p pairs: gates 2i (AND2) and 2i+1 (XOR2), pins [a_i, b_i].
+    leaf = goff[:-1, None] + np.arange(2 * n)[None, :]
+    gate_cell[leaf] = np.tile([and2, xor2], n)
+    gate_col[leaf] = np.repeat(diag, 2).astype(np.float64)
+    pin_counts[leaf] = 2
+    pins[leaf, 0] = np.repeat(diag, 2)
+    pins[leaf, 1] = np.repeat(diag + n, 2)
+
+    # Operator blocks (2 carry gates + optional propagate AND2).
+    gf = goff[ob] + lb
+    aoi_out = npi + lb  # net of the block's first gate
+    if style == "aoi":
+        gate_cell[gf] = aoi21
+        pins[gf, 0] = p_up
+        pins[gf, 1] = g_lo
+        pins[gf, 2] = g_up
+        pin_counts[gf] = 3
+        gate_cell[gf + 1] = inv
+        pins[gf + 1, 0] = aoi_out
+        pin_counts[gf + 1] = 1
+    else:
+        gate_cell[gf] = and2
+        pins[gf, 0] = p_up
+        pins[gf, 1] = g_lo
+        pin_counts[gf] = 2
+        gate_cell[gf + 1] = or2
+        pins[gf + 1, 0] = g_up
+        pins[gf + 1, 1] = aoi_out
+        pin_counts[gf + 1] = 2
+    gate_col[gf] = oi
+    gate_col[gf + 1] = oi
+    g3 = gf[needs_val] + 2
+    gate_cell[g3] = and2
+    pins[g3, 0] = p_up[needs_val]
+    pins[g3, 1] = p_lo[needs_val]
+    pin_counts[g3] = 2
+    gate_col[g3] = oi[needs_val]
+
+    # Sum stage: XOR2(p_i, carry_{i-1}) for i in 1..n-1.
+    sum_base = goff[:-1] + 2 * n + S
+    if n > 1:
+        srow = sum_base[:, None] + np.arange(n - 1)[None, :]
+        gate_cell[srow] = xor2
+        pins[srow, 0] = npi + 2 * np.arange(1, n) + 1  # leaf p_i
+        pins[srow, 1] = G_net[:, : n - 1, 0]  # carry = g[i-1][0]
+        pin_counts[srow] = 2
+        gate_col[srow] = np.arange(1, n).astype(np.float64)
+
+    po_net = np.empty((B, n + 1), dtype=np.int64)
+    po_net[:, 0] = npi + 1  # s[0] = leaf p_0
+    if n > 1:
+        po_net[:, 1:n] = (npi + 2 * n + S)[:, None] + np.arange(n - 1)
+    po_net[:, n] = G_net[:, n - 1, 0]  # cout
+    return m, gate_cell, pin_counts, pins, gate_col, po_net.ravel()
+
+
+def _assemble_xor_or(graphs, tables, template, circuit_type, ob, oi, oj, ok):
+    """Pre-buffering flat arrays for the gray / lzd mappings."""
+    n = graphs[0].n
+    B = len(graphs)
+    op_cell = tables.smallest["XOR2" if circuit_type == "gray" else "OR2"]
+    op_counts = np.bincount(ob, minlength=B)
+    op_start = np.concatenate([[0], np.cumsum(op_counts)])
+    t_local = np.arange(len(ob)) - op_start[:-1][ob]  # op index within graph
+
+    diag = np.arange(n)
+    V_net = np.zeros((B, n, n), dtype=np.int64)
+    V_net[:, diag, diag] = n - 1 - diag  # reversed PI nets
+    V_net[ob, oi, oj] = n + t_local
+    up = V_net[ob, oi, ok]
+    lo = V_net[ob, ok - 1, oj]
+
+    extra = 0 if circuit_type == "gray" else 2 * (n - 1) + 1
+    m = op_counts + extra
+    goff = np.concatenate([[0], np.cumsum(m)])
+    M = int(goff[-1])
+    gate_cell = np.empty(M, dtype=np.int64)
+    gate_col = np.empty(M, dtype=np.float64)
+    pin_counts = np.empty(M, dtype=np.int64)
+    pins = np.full((M, 3), -1, dtype=np.int64)
+
+    gop = goff[ob] + t_local
+    gate_cell[gop] = op_cell
+    pins[gop, 0] = up
+    pins[gop, 1] = lo
+    pin_counts[gop] = 2
+    gate_col[gop] = oi
+
+    if circuit_type == "gray":
+        return m, gate_cell, pin_counts, pins, gate_col, V_net[:, :, 0].ravel()
+
+    # lzd one-hot chain: INV(prev flag) + AND2(flag, not_prev) per bit,
+    # plus the trailing all_zero INV — mirror of map_leading_zero_detector.
+    and2, inv = tables.smallest["AND2"], tables.smallest["INV"]
+    chain_base = goff[:-1] + op_counts  # first chain gate per graph
+    po_net = np.empty((B, n + 1), dtype=np.int64)
+    po_net[:, 0] = V_net[:, 0, 0]  # hot[0]
+    if n > 1:
+        ginv = chain_base[:, None] + 2 * np.arange(n - 1)[None, :]
+        gand = ginv + 1
+        gate_cell[ginv] = inv
+        pins[ginv, 0] = V_net[:, : n - 1, 0]  # prev_flag = value[i-1][0]
+        pin_counts[ginv] = 1
+        gate_col[ginv] = np.arange(1, n).astype(np.float64)
+        gate_cell[gand] = and2
+        pins[gand, 0] = V_net[:, 1:n, 0]  # flag = value[i][0]
+        pins[gand, 1] = n + ginv - goff[:-1, None]  # not_prev net
+        pin_counts[gand] = 2
+        gate_col[gand] = np.arange(1, n).astype(np.float64)
+        po_net[:, 1:n] = n + gand - goff[:-1, None]  # hot[i]
+    gzero = chain_base + 2 * (n - 1)
+    gate_cell[gzero] = inv
+    pins[gzero, 0] = V_net[:, n - 1, 0]
+    pin_counts[gzero] = 1
+    gate_col[gzero] = float(n - 1)
+    po_net[:, n] = n + gzero - goff[:-1]  # all_zero
+    return m, gate_cell, pin_counts, pins, gate_col, po_net.ravel()
+
+
+def _buffer_flat(m, gate_cell, pin_counts, flat_pins, gate_col, po_net,
+                 tables: _LibraryTables, template: _IOTemplate, max_fanout: int):
+    """Mirror of ``physical.buffer_fanout`` over the flat pre-buffer arrays.
+
+    Only over-limit nets (and the buffer trees they grow) are touched in
+    Python; everything else stays in the already-built arrays.  Existing
+    sink pins are rewired in place in ``flat_pins``; per-graph buffer
+    gates are appended by an interleaved concatenate at the end.
+    """
+    if max_fanout < 2:
+        raise ValueError("max_fanout must be >= 2")
+    B = len(m)
+    npi = template.num_pis
+    goff = np.concatenate([[0], np.cumsum(m)])
+    M = int(goff[-1])
+    net_counts = m + npi
+    net_off = np.concatenate([[0], np.cumsum(net_counts)])
+    gate_graph = np.repeat(np.arange(B), m)
+    pin_off = np.concatenate([[0], np.cumsum(pin_counts)])
+    pin_gate = np.repeat(np.arange(M), pin_counts)
+    pin_slot = np.arange(len(flat_pins)) - pin_off[:-1][pin_gate]
+    global_pin = flat_pins + net_off[gate_graph[pin_gate]]
+    sink_counts = np.bincount(global_pin, minlength=int(net_off[-1]))
+    over = np.flatnonzero(sink_counts > max_fanout)
+    num_buffers = np.zeros(B, dtype=np.int64)
+    if not len(over):
+        return _FlatPopulation(
+            m, gate_cell, pin_counts, flat_pins, gate_col, po_net, num_buffers
+        )
+
+    # Sink lists in (gate, pin) order — flat_pins is gate-major/pin-minor,
+    # so a stable argsort groups each net's sinks in sink-list order.
+    order = np.argsort(global_pin, kind="stable")
+    sorted_nets = global_pin[order]
+    starts = np.searchsorted(sorted_nets, over)
+    ends = np.searchsorted(sorted_nets, over, side="right")
+    # Gather just the over-limit nets' sink ranges (not the whole batch).
+    span = ends - starts
+    span_off = np.concatenate([[0], np.cumsum(span)])
+    gather = np.repeat(starts - span_off[:-1], span) + np.arange(int(span_off[-1]))
+    sel_pins = order[gather]
+    sink_gate = pin_gate[sel_pins]
+    sink_slot = pin_slot[sel_pins]
+    over_graph = np.searchsorted(net_off, over, side="right") - 1
+    buf_caps = np.asarray(tables.buf_caps, dtype=np.float64)
+    buf_ids = np.asarray(tables.buf_ids, dtype=np.int64)
+    buf_cell: List[List[int]] = [[] for _ in range(B)]
+    buf_in: List[List[int]] = [[] for _ in range(B)]
+    buf_col: List[List[float]] = [[] for _ in range(B)]
+
+    # A net with at most max_fanout**2 sinks is fixed by one wave of
+    # groups (its ceil(s/mf) buffers themselves fit under the limit), so
+    # graphs whose over-limit nets all satisfy that build their whole
+    # buffer list in one vectorized pass; deeper trees (and libraries
+    # whose BUF variants aren't cap-sorted, where the first-fit scan
+    # can't become a searchsorted) take the per-graph queue loop below.
+    is_deep = np.zeros(B, dtype=bool)
+    if np.any(np.diff(buf_caps) < 0.0):
+        is_deep[over_graph] = True
+    else:
+        is_deep[over_graph[span > max_fanout * max_fanout]] = True
+    v = np.flatnonzero(~is_deep[over_graph])
+    vbuf_off = np.zeros(B + 1, dtype=np.int64)
+    vbuf_cell = vbuf_in = np.zeros(0, dtype=np.int64)
+    vbuf_col = np.zeros(0, dtype=np.float64)
+    if len(v):
+        # Scalar order: nets descending within a graph, groups ascending
+        # within a net, graphs independent (sorted ascending for slicing).
+        ordv = v[np.lexsort((-over[v], over_graph[v]))]
+        vspan = span[ordv]
+        ngroups = -(-vspan // max_fanout)
+        total = int(ngroups.sum())
+        gnet = np.repeat(ordv, ngroups)  # group -> index into `over`
+        gidx = np.arange(total) - np.repeat(
+            np.cumsum(ngroups) - ngroups, ngroups
+        )
+        local = gidx[:, None] * max_fanout + np.arange(max_fanout)[None, :]
+        valid = local < np.repeat(vspan, ngroups)[:, None]
+        pos = np.where(valid, span_off[gnet][:, None] + local, 0)
+        sg = sink_gate[pos]
+        # Group load: caps in sink order, zero-padded — np.add.accumulate
+        # is the exact left-to-right fold of the scalar sum() (trailing
+        # +0.0 never changes a positive partial sum).
+        caps_m = np.where(valid, tables.cap[gate_cell[sg]], 0.0)
+        load = np.add.accumulate(caps_m, axis=1)[:, -1]
+        cell_idx = np.minimum(
+            np.searchsorted(buf_caps * 4.0, load, side="left"),
+            len(buf_caps) - 1,
+        )
+        colm = gate_col[sg]
+        colok = valid & ~np.isnan(colm)
+        # NaN columns are skipped, not zeroed: c + 0.0 == c exactly, so
+        # substituting 0.0 reproduces the skip-sum bit for bit.
+        csum = np.add.accumulate(np.where(colok, colm, 0.0), axis=1)[:, -1]
+        ccount = colok.sum(axis=1)
+        centroid = np.where(
+            ccount > 0, csum / np.maximum(ccount, 1), np.nan
+        )
+        gb = over_graph[gnet]
+        gcount = np.bincount(gb, minlength=B)
+        buf_local = np.arange(total) - (np.cumsum(gcount) - gcount)[gb]
+        buf_out_local = npi + m[gb] + buf_local
+        pp = pin_off[sg] + sink_slot[pos]
+        flat_pins[pp[valid]] = np.broadcast_to(
+            buf_out_local[:, None], (total, max_fanout)
+        )[valid]
+        vbuf_cell = buf_ids[cell_idx]
+        vbuf_in = over[gnet] - net_off[gb]
+        vbuf_col = centroid
+        vbuf_off[1:] = np.cumsum(gcount)
+        num_buffers += gcount
+
+    deep_graphs = np.flatnonzero(is_deep).tolist()
+    if deep_graphs:
+        over_sink_gate = sink_gate.tolist()
+        over_sink_slot = sink_slot.tolist()
+        caps = tables.cap.tolist()
+        buf_pairs = list(zip(tables.buf_ids, tables.buf_caps))
+    for b in deep_graphs:
+        sel = np.flatnonzero(over_graph == b)
+        noff = int(net_off[b])
+        base = int(goff[b])
+        mb = int(m[b])
+        cells_b = buf_cell[b]
+        ins_b = buf_in[b]
+        cols_b = buf_col[b]
+        # net -> [(local gate, pin)] for the nets buffering will touch.
+        sinks: Dict[int, List[Tuple[int, int]]] = {}
+        for o in sel.tolist():
+            sinks[int(over[o]) - noff] = [
+                (over_sink_gate[p] - base, over_sink_slot[p])
+                for p in range(int(span_off[o]), int(span_off[o + 1]))
+            ]
+
+        def cap_of(gate: int) -> float:
+            if gate < mb:
+                return caps[gate_cell[base + gate]]
+            return caps[cells_b[gate - mb]]
+
+        def col_of(gate: int) -> Optional[float]:
+            column = gate_col[base + gate] if gate < mb else cols_b[gate - mb]
+            return None if np.isnan(column) else float(column)
+
+        def rewire(gate: int, pin: int, new_net: int) -> None:
+            if gate < mb:
+                flat_pins[pin_off[base + gate] + pin] = new_net
+            else:
+                ins_b[gate - mb] = new_net
+
+        queue = sorted(sinks)
+        while queue:
+            net = queue.pop()
+            slist = list(sinks[net])
+            if len(slist) <= max_fanout:
+                continue
+            groups = [
+                slist[k : k + max_fanout] for k in range(0, len(slist), max_fanout)
+            ]
+            for group in groups:
+                load = sum(cap_of(g) for g, _ in group)
+                cell_id = buf_pairs[0][0]
+                for cell_id, cap in buf_pairs:
+                    if cap * 4.0 >= load:
+                        break
+                sink_columns = [
+                    c for c in (col_of(g) for g, _ in group) if c is not None
+                ]
+                centroid = (
+                    sum(sink_columns) / len(sink_columns) if sink_columns
+                    else float("nan")
                 )
-            )
-    gate_col = (
-        np.concatenate(column_parts) if column_parts else np.empty(0)
-    )
-    po_count = len(template.po_names)
-    po_net = np.empty(len(leans) * po_count, dtype=np.int64)
-    for b, ln in enumerate(leans):
-        po_net[b * po_count : (b + 1) * po_count] = ln.po_net
-    num_buffers = np.array([ln.num_buffers for ln in leans], dtype=np.int64)
+                buf_gate = mb + len(cells_b)
+                buf_out = npi + buf_gate
+                cells_b.append(cell_id)
+                ins_b.append(net)
+                cols_b.append(centroid)
+                sinks[net].append((buf_gate, 0))
+                sinks[buf_out] = []
+                num_buffers[b] += 1
+                for sink in group:
+                    sinks[net].remove(sink)
+                    rewire(sink[0], sink[1], buf_out)
+                    sinks[buf_out].append(sink)
+            if len(sinks[net]) > max_fanout:
+                queue.append(net)
+
+    gate_counts = m + num_buffers
+    cell_parts, count_parts, pin_parts, col_parts = [], [], [], []
+    for b in range(B):
+        gs, ge = int(goff[b]), int(goff[b + 1])
+        ps, pe = int(pin_off[gs]), int(pin_off[ge])
+        if is_deep[b]:
+            bc = np.asarray(buf_cell[b], dtype=np.int64)
+            bi = np.asarray(buf_in[b], dtype=np.int64)
+            bcol = np.asarray(buf_col[b], dtype=np.float64)
+        else:
+            vs, ve = int(vbuf_off[b]), int(vbuf_off[b + 1])
+            bc = vbuf_cell[vs:ve]
+            bi = vbuf_in[vs:ve]
+            bcol = vbuf_col[vs:ve]
+        cell_parts += [gate_cell[gs:ge], bc]
+        count_parts += [pin_counts[gs:ge], np.ones(len(bc), dtype=np.int64)]
+        pin_parts += [flat_pins[ps:pe], bi]
+        col_parts += [gate_col[gs:ge], bcol]
     return _FlatPopulation(
-        gate_counts, gate_cell, pin_counts, flat_pins, gate_col, po_net,
+        gate_counts,
+        np.concatenate(cell_parts),
+        np.concatenate(count_parts),
+        np.concatenate(pin_parts),
+        np.concatenate(col_parts),
+        po_net,
         num_buffers,
+    )
+
+
+def _build_flat(
+    graphs: Sequence[PrefixGraph],
+    tables: _LibraryTables,
+    template: _IOTemplate,
+    circuit_type: str,
+    options: SynthesisOptions,
+) -> _FlatPopulation:
+    """Whole-population structural build, emitting ``_FlatPopulation``."""
+    grids = stacked_grids(graphs)
+    levels = batch_levels(grids)
+    ob, oi, oj, ok, lev = _batch_ops(grids, levels)
+    if circuit_type == "adder":
+        needs = _batch_needs(len(graphs), graphs[0].n, ob, oi, oj, ok, lev)
+        parts = _assemble_adder(
+            graphs, tables, template, options.mapping_style, ob, oi, oj, ok, needs
+        )
+    else:
+        parts = _assemble_xor_or(graphs, tables, template, circuit_type, ob, oi, oj, ok)
+    m, gate_cell, pin_counts, pins, gate_col, po_net = parts
+    flat_pins = pins.ravel()[pins.ravel() >= 0]
+    return _buffer_flat(
+        m, gate_cell, pin_counts, flat_pins, gate_col, po_net,
+        tables, template, options.max_fanout,
     )
 
 
@@ -782,7 +940,8 @@ class _PackedBatch:
         return arrival, gate_delay, delay_ns, crit_po
 
     def trace_paths(self, crit_po: np.ndarray, arrival: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`trace_path` over several graphs in lockstep.
+        """``analyze_timing``'s backwards critical-path walk, vectorized
+        over several graphs in lockstep.
 
         Returns a padded ``(len(crit_po), max_len)`` matrix of gate
         indices, input-side first, -1 past each path's end.  Each row
@@ -819,37 +978,11 @@ class _PackedBatch:
         take = lengths[:, None] - 1 - np.arange(mat.shape[1])[None, :]
         return np.where(take >= 0, mat[rows[:, None], np.maximum(take, 0)], -1)
 
-    def trace_path(self, crit_po: int, arrival: np.ndarray) -> List[int]:
-        """Mirror of analyze_timing's backwards critical-path walk."""
-        path: List[int] = []
-        net = int(self.po_net[crit_po])
-        N = self.N
-        gate_in, net_driver = self.gate_in, self.net_driver
-        while net >= 0:
-            gate = int(net_driver[net])
-            if gate < 0:
-                break
-            path.append(gate)
-            # First strict max wins over the pin order, like the scalar
-            # walk's Python max (pads point at the dummy net, skipped).
-            best = -1
-            best_arrival = 0.0
-            for n in gate_in[gate].tolist():
-                if n == N:
-                    continue
-                a = arrival[n]
-                if best < 0 or a > best_arrival:
-                    best, best_arrival = n, a
-            net = best
-        path.reverse()
-        return path
-
 
 # ----------------------------------------------------------------------
 # Batched sizing (mirror of physical.size_gates, batch-lockstep)
 # ----------------------------------------------------------------------
-def _size_gates_batched(pb: _PackedBatch, options: SynthesisOptions,
-                        dirty_sta: bool = False):
+def _size_gates_batched(pb: _PackedBatch, options: SynthesisOptions):
     """Run every graph's sizing loop simultaneously.
 
     Each pass mirrors ``size_gates`` decision for decision: critical-path
@@ -858,12 +991,10 @@ def _size_gates_batched(pb: _PackedBatch, options: SynthesisOptions,
     loop), area recovery is one vectorized sweep against the pass-entry
     report, and regression rollback/early-stop happen per graph.
 
-    With ``dirty_sta`` the accept/rollback timing check runs through
-    :meth:`_PackedBatch.resta` over the frontier of swapped gates (plus
-    their fanin drivers, whose loads changed) instead of a full
-    :meth:`_PackedBatch.sta` pass — bit-identical, and the main wall-
-    clock saving of the incremental pipeline.  The initial STA is always
-    a full pass.
+    The initial STA is a full :meth:`_PackedBatch.sta` pass; each pass's
+    accept/rollback timing check runs through :meth:`_PackedBatch.resta`
+    over the frontier of swapped gates (plus their fanin drivers, whose
+    loads changed) — bit-identical to a full pass, at a fraction of it.
     """
     tables = pb.tables
     arrival, gate_delay, delay_ns, crit_po = pb.sta()
@@ -949,15 +1080,12 @@ def _size_gates_batched(pb: _PackedBatch, options: SynthesisOptions,
         still = active & changed
         if not still.any():
             break
-        if dirty_sta:
-            swapped = np.unique(np.concatenate(swapped_parts))
-            fanin = pb.net_driver[pb.gate_in[swapped].ravel()]
-            dirty = np.unique(np.concatenate([swapped, fanin[fanin >= 0]]))
-            new_arrival, new_gate_delay, new_delay, new_crit = pb.resta(
-                arrival, gate_delay, dirty
-            )
-        else:
-            new_arrival, new_gate_delay, new_delay, new_crit = pb.sta()
+        swapped = np.unique(np.concatenate(swapped_parts))
+        fanin = pb.net_driver[pb.gate_in[swapped].ravel()]
+        dirty = np.unique(np.concatenate([swapped, fanin[fanin >= 0]]))
+        new_arrival, new_gate_delay, new_delay, new_crit = pb.resta(
+            arrival, gate_delay, dirty
+        )
         regressed = still & (new_delay > delay_ns + 1e-12)
         if regressed.any():
             mask = regressed[pb.gate_graph]
@@ -981,7 +1109,7 @@ def _size_gates_batched(pb: _PackedBatch, options: SynthesisOptions,
 
 
 # ----------------------------------------------------------------------
-# Result extraction (shared with repro.synth.incremental)
+# Result extraction
 # ----------------------------------------------------------------------
 def _extract_results(
     pb: _PackedBatch, delay_ns: np.ndarray, crit_po: np.ndarray
@@ -1034,7 +1162,14 @@ def synthesize_many(
     io_timing: Optional[IOTiming] = None,
     options: Optional[SynthesisOptions] = None,
 ) -> List[PhysicalResult]:
-    """Synthesize a population; bit-identical to the per-graph flow."""
+    """Synthesize a population; bit-identical to the per-graph flow.
+
+    Any batch size (one graph included) takes the same path: one
+    vectorized structural build of the whole population
+    (:func:`_build_flat`), one packing, and batch-lockstep sizing with
+    cone-limited re-timing (:func:`_size_gates_batched`).  Graphs must
+    share one width.
+    """
     graphs = list(graphs)
     if not graphs:
         return []
@@ -1042,11 +1177,7 @@ def synthesize_many(
     options = options or SynthesisOptions()
     tables = _tables_for(library)
     template = _IOTemplate(graphs[0].n, circuit_type, io_timing)
-    level_stack = batch_levels(stacked_grids(graphs))
-    leans = [
-        _build_lean(graph, tables, circuit_type, options, level_stack[b])
-        for b, graph in enumerate(graphs)
-    ]
-    pb = _PackedBatch(_flatten_leans(leans, template), tables, library, template)
+    flat = _build_flat(graphs, tables, template, circuit_type, options)
+    pb = _PackedBatch(flat, tables, library, template)
     delay_ns, crit_po = _size_gates_batched(pb, options)
     return _extract_results(pb, delay_ns, crit_po)

@@ -1,7 +1,6 @@
 """End-to-end tests for Session.run and the python -m repro CLI."""
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,8 @@ from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec, load_spec
 from repro.api.cli import bench_presets, main
 from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
 from repro.circuits import adder_task
-from repro.opt import load_records, run_method
+from repro.opt import load_records
+from repro.opt.runner import _run_seed_grid
 
 TINY_SPEC_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -29,19 +29,19 @@ def assert_bit_identical(record, reference):
 
 
 def direct_reference_records(spec):
-    """The same grid, hand-assembled the pre-API way (plain serial)."""
+    """The same grid, hand-assembled through the bare seed-grid runner
+    against a plain serial simulator (no engine, no spec)."""
     factories = {
         "GA": lambda seed: GeneticAlgorithm(GAConfig(population_size=8)),
         "Random": lambda seed: RandomSearch(),
     }
     task = adder_task(spec.task.n, spec.task.delay_weight)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return {
-            name: run_method(factory, task, spec.budget, spec.seed_list(),
-                             method_name=name)
-            for name, factory in factories.items()
-        }
+    return {
+        name: _run_seed_grid(
+            factory, task, spec.budget, spec.seed_list(), method_name=name
+        )
+        for name, factory in factories.items()
+    }
 
 
 class TestSessionRun:
@@ -60,7 +60,7 @@ class TestSessionRun:
             curve_points=3,
         )
 
-    def test_records_bit_identical_to_direct_run_method(self):
+    def test_records_bit_identical_to_direct_seed_grid(self):
         spec = self.spec()
         with Session() as session:
             result = session.run(spec)

@@ -2,27 +2,16 @@
 
 The runner-pipeline tests describe their grids as declarative
 :class:`repro.api.ExperimentSpec` values and execute them through
-:class:`repro.api.Session` — the supported path since the deprecation of
-``run_method``/``run_comparison`` (whose shim behaviour is covered in
-``TestDeprecatedShims``).
+:class:`repro.api.Session`.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, MethodSpec, Session, TaskSpec
-from repro.baselines import GAConfig, GeneticAlgorithm, RandomSearch
-from repro.circuits import adder_task, gray_to_binary_task, realistic_adder_task
+from repro.circuits import gray_to_binary_task, realistic_adder_task
 from repro.core import CircuitVAEConfig, CircuitVAEOptimizer, SearchConfig, TrainConfig
-from repro.opt import (
-    CircuitSimulator,
-    aggregate_curves,
-    run_comparison,
-    run_method,
-    vae_speedup,
-)
+from repro.opt import CircuitSimulator, aggregate_curves, vae_speedup
 from repro.synth import CommercialTool, scaled_library
 
 #: The tiny CircuitVAE both the spec-driven and direct tests run.
@@ -140,57 +129,3 @@ class TestSeedIndependence:
             )
             records = run_spec(spec).records[method.display_name]
             assert records[0].num_simulations == 30
-
-
-class TestDeprecatedShims:
-    """run_method/run_comparison must warn once and delegate unchanged."""
-
-    def test_run_method_warns_and_delegates(self):
-        task = adder_task(8, 0.66)
-        with pytest.warns(DeprecationWarning, match="run_method is deprecated"):
-            records = run_method(
-                lambda s: RandomSearch(), task, budget=8, seeds=[0]
-            )
-        assert len(records) == 1
-        assert records[0].num_simulations == 8
-
-    def test_run_comparison_warns_and_pairs_seeds(self):
-        task = adder_task(8, 0.66)
-        with pytest.warns(DeprecationWarning, match="run_comparison is deprecated"):
-            results = run_comparison(
-                {
-                    "GA": lambda s: GeneticAlgorithm(GAConfig(population_size=8)),
-                    "Random": lambda s: RandomSearch(),
-                },
-                task,
-                budget=8,
-                num_seeds=2,
-            )
-        assert [r.seed for r in results["GA"]] == [
-            r.seed for r in results["Random"]
-        ]
-        assert all(r.num_simulations == 8 for r in results["GA"])
-
-    def test_shim_records_match_session(self):
-        spec = ExperimentSpec(
-            name="shim-parity",
-            task=TaskSpec(circuit_type="adder", n=4, delay_weight=0.66),
-            methods=(MethodSpec("GA", params={"population_size": 8}),),
-            budget=6,
-            num_seeds=2,
-            curve_points=3,
-        )
-        session_records = run_spec(spec).records["GA"]
-        task = adder_task(4, 0.66)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim_records = run_method(
-                lambda s: GeneticAlgorithm(GAConfig(population_size=8)),
-                task,
-                budget=6,
-                seeds=spec.seed_list(),
-                method_name="GA",
-            )
-        for record, reference in zip(session_records, shim_records):
-            assert record.seed == reference.seed
-            np.testing.assert_array_equal(record.costs, reference.costs)

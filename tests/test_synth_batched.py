@@ -7,20 +7,34 @@ accounting both rely on the two paths being interchangeable.
 """
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import unique_random_graphs as unique_graphs
 
 from repro.circuits import (
+    CircuitTask,
     adder_task,
     gray_to_binary_task,
     lzd_task,
     realistic_adder_task,
 )
 from repro.engine import EvaluationEngine, SynthesisPool
-from repro.prefix import sklansky
+from repro.opt.variation import mutate
+from repro.prefix import (
+    STRUCTURES,
+    bits_to_graph,
+    brent_kung,
+    kogge_stone,
+    num_free_cells,
+    random_graph,
+    sklansky,
+)
+from repro.prefix.legalize import legalize
 from repro.synth import SynthesisOptions, scaled_library, synthesize_many
 
 
@@ -38,11 +52,60 @@ def assert_results_identical(task, graphs):
         assert a.critical_output == b.critical_output, i
 
 
+def mutant_population(n, total, seed=42, flips=(1, 3)):
+    """Classic parents + legalized bit-flip mutants: the GA/BO shape."""
+    bases = [sklansky(n), brent_kung(n), kogge_stone(n)]
+    rng = np.random.default_rng(seed)
+    graphs = list(bases[: min(3, total)])
+    seen = {g.key() for g in graphs}
+    while len(graphs) < total:
+        base = graphs[int(rng.integers(0, len(bases)))]
+        grid = base.grid.copy()
+        for _ in range(int(rng.integers(*flips))):
+            i = int(rng.integers(2, n))
+            j = int(rng.integers(1, i))
+            grid[i, j] ^= True
+        graph = legalize(grid)
+        if graph.key() not in seen:
+            seen.add(graph.key())
+            graphs.append(graph)
+    return graphs
+
+
+def all_graphs(n):
+    """Every legal graph of a tiny width (one at n=2, two at n=3)."""
+    graphs = {}
+    for bits in product([False, True], repeat=num_free_cells(n)):
+        graph = bits_to_graph(np.array(bits, dtype=bool), n)
+        graphs[graph.key()] = graph
+    return list(graphs.values())
+
+
+def flow_task(circuit_type, n, **options):
+    return CircuitTask(
+        name=f"{circuit_type}{n}",
+        n=n,
+        delay_weight=0.66,
+        circuit_type=circuit_type,
+        options=SynthesisOptions(**options),
+    )
+
+
 class TestBitIdentity:
     # n=4 has only 7 unique legal designs, so its population is smaller.
-    @pytest.mark.parametrize("n,count", [(4, 6), (8, 8), (12, 8)])
-    def test_adder_population(self, n, count):
-        assert_results_identical(adder_task(n, 0.66), unique_graphs(n, count))
+    @pytest.mark.parametrize(
+        "n,count,population",
+        [
+            pytest.param(4, 6, unique_graphs, id="4-6"),
+            pytest.param(8, 8, unique_graphs, id="8-8"),
+            pytest.param(12, 8, unique_graphs, id="12-8"),
+            pytest.param(8, 10, mutant_population, id="mutant-8"),
+            pytest.param(16, 10, mutant_population, id="mutant-16"),
+            pytest.param(16, 8, unique_graphs, id="random-16"),
+        ],
+    )
+    def test_adder_population(self, n, count, population):
+        assert_results_identical(adder_task(n, 0.66), population(n, count))
 
     def test_gray_population(self):
         assert_results_identical(gray_to_binary_task(n=8), unique_graphs(8, 8))
@@ -98,14 +161,113 @@ class TestBitIdentity:
         task = adder_task(8, 0.66)
         assert_results_identical(task, [sklansky(8)])
 
+    @pytest.mark.parametrize("circuit_type", ["adder", "gray", "lzd"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_widths(self, circuit_type, n):
+        task = flow_task(circuit_type, n)
+        assert_results_identical(task, all_graphs(n))
+        for graph in all_graphs(n):
+            assert_results_identical(task, [graph])
+
+    @pytest.mark.parametrize("circuit_type", ["adder", "gray", "lzd"])
+    @pytest.mark.parametrize("style", ["aoi", "andor"])
+    @pytest.mark.parametrize("max_fanout", [2, 4])
+    @pytest.mark.parametrize("passes", [0, 6])
+    def test_batch_of_one(self, circuit_type, style, max_fanout, passes):
+        # A single graph takes the same vectorized path as a population.
+        task = flow_task(
+            circuit_type, 16, mapping_style=style, max_fanout=max_fanout,
+            sizing_passes=passes,
+        )
+        for graph in (sklansky(16), brent_kung(16)):
+            assert_results_identical(task, [graph])
+
+    # Populations that share most of their structure with a few classic
+    # parents, the shape GA and BO acquisitions produce.
+    @pytest.mark.parametrize(
+        "make_task,n,count",
+        [
+            pytest.param(lambda: gray_to_binary_task(n=8), 8, 8, id="gray"),
+            pytest.param(lambda: lzd_task(n=8), 8, 8, id="lzd"),
+            pytest.param(
+                lambda: adder_task(8, 0.5, library=scaled_library("8nm")), 8, 8,
+                id="scaled-library",
+            ),
+            pytest.param(
+                lambda: realistic_adder_task(8, 0.6), 8, 8, id="datapath-io"
+            ),
+            pytest.param(
+                lambda: flow_task("adder", 8, mapping_style="andor"), 8, 8,
+                id="andor",
+            ),
+            # Tight limits on 12-bit mutants grow buffer trees deeper than
+            # max_fanout**2 sinks, which the builder handles per graph.
+            pytest.param(
+                lambda: flow_task("adder", 12, max_fanout=2), 12, 6, id="fanout-2"
+            ),
+            pytest.param(
+                lambda: flow_task("adder", 12, max_fanout=3), 12, 6, id="fanout-3"
+            ),
+            pytest.param(
+                lambda: flow_task("adder", 8, sizing_passes=0), 8, 6,
+                id="sizing-passes-0",
+            ),
+        ],
+    )
+    def test_mutant_population(self, make_task, n, count):
+        assert_results_identical(make_task(), mutant_population(n, count))
+
     def test_empty_batch(self):
         assert adder_task(8, 0.66).evaluate_many([]) == []
+
+
+@st.composite
+def shared_populations(draw):
+    """Legal graphs with controlled sharing: classic structures, their
+    mutated descendants (children of children too) and random graphs."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    classics = [build(n) for build in STRUCTURES.values()]
+    graphs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["classic", "mutant", "random"]))
+        if kind == "mutant" and n > 2:
+            parent = draw(st.sampled_from(classics + graphs))
+            graphs.append(mutate(parent, rng, rate=draw(st.floats(0.01, 0.3))))
+        elif kind == "random":
+            graphs.append(random_graph(n, rng, density=draw(st.floats(0.0, 1.0))))
+        else:
+            graphs.append(draw(st.sampled_from(classics)))
+    return graphs
+
+
+class TestDifferentialFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        graphs=shared_populations(),
+        circuit_type=st.sampled_from(["adder", "gray", "lzd"]),
+        style=st.sampled_from(["aoi", "andor"]),
+        max_fanout=st.integers(2, 5),
+        passes=st.sampled_from([0, 1, 6]),
+    )
+    def test_population_matches_scalar_flow(
+        self, graphs, circuit_type, style, max_fanout, passes
+    ):
+        task = flow_task(
+            circuit_type, graphs[0].n, mapping_style=style,
+            max_fanout=max_fanout, sizing_passes=passes,
+        )
+        assert_results_identical(task, graphs)
 
 
 class TestTaskValidation:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
             adder_task(8, 0.66).evaluate_many([sklansky(16)])
+
+    def test_mixed_width_population_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            adder_task(8, 0.66).evaluate_many([sklansky(8), sklansky(16)])
 
     def test_unknown_circuit_type_rejected(self):
         task = adder_task(8, 0.66)
@@ -158,3 +320,22 @@ class TestEngineRouting:
             assert a.area_um2 == b.area_um2
             assert a.delay_ns == b.delay_ns
             assert a.sim_index == b.sim_index
+
+    def test_population_charged_to_vectorized_stage(self):
+        # An in-process batch of >= 2 designs is one vectorized pass, and
+        # telemetry charges it to the synthesis_vectorized stage.
+        task = adder_task(16, 0.66)
+        graphs = mutant_population(16, 8)
+        with EvaluationEngine() as engine:
+            simulator = engine.simulator(task)
+            evaluations = simulator.query_many(graphs)
+            telemetry = simulator.telemetry.as_dict()
+        assert telemetry["vector_batches"] == 1
+        assert telemetry["vector_designs"] == len(graphs)
+        stages = telemetry["stage_seconds"]
+        assert stages["synthesis_vectorized"] > 0
+        assert "synthesis_scalar" not in stages
+        reference = [task.synthesize(g) for g in graphs]
+        for evaluation, result in zip(evaluations, reference):
+            assert evaluation.area_um2 == result.area_um2
+            assert evaluation.delay_ns == result.delay_ns
