@@ -131,6 +131,7 @@ class TrainingRoundFinished(RunEvent):
     graph-executor's compile/replay/fusion deltas for the round (empty
     for eager training); ``epochs_skipped`` counts epochs restored from
     a durable training checkpoint instead of re-trained (resume).
+    ``fallback_reason`` says why a compiled engine was abandoned.
     """
 
     method: str
@@ -150,6 +151,10 @@ class TrainingRoundFinished(RunEvent):
     #: the most batch lanes a training step of this round ran with
     #: (1: single-lane; see repro.nn.lanes).
     lanes: int = 1
+    #: why the round left a compiled engine (``"loop: ..."`` and/or
+    #: ``"step: ..."``, see TrainStats.fallback_reason); None when it
+    #: did not.
+    fallback_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)

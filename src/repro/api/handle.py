@@ -186,6 +186,7 @@ class _StreamingGridObserver(GridObserver):
                 losses=dict(info.get("losses", {})),
                 counters=info.get("counters"),
                 lanes=int(info.get("lanes", 1)),
+                fallback_reason=info.get("fallback_reason"),
             )
         )
 

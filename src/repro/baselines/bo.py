@@ -142,13 +142,13 @@ class LatentBO(SearchAlgorithm):
             if new_points == 0 and not simulator.exhausted():
                 # All acquisitions decoded to known circuits: fall back to
                 # exploration so the loop never stalls.
-                from ..opt.variation import mutate
+                from ..opt.variation import mutate_many
 
                 parents = [
                     self.dataset.graphs[i]
                     for i in self.dataset.sample_indices(config.batch_per_round, rng)
                 ]
-                explore = [mutate(g, rng, rate=0.05) for g in parents]
+                explore = mutate_many(parents, rng, rate=0.05)
                 self.dataset.add_evaluations(
                     simulator.query_many(explore)
                 )

@@ -20,7 +20,7 @@ from .. import nn
 from ..engine.telemetry import stage
 from ..opt.optimizer import SearchAlgorithm
 from ..opt.simulator import BudgetExhausted, CircuitSimulator, Evaluation
-from ..opt.variation import mutate, random_population
+from ..opt.variation import mutate, mutate_many, random_population
 from ..prefix.graph import PrefixGraph
 from ..prefix.structures import sklansky
 from .dataset import CircuitDataset
@@ -199,7 +199,7 @@ class CircuitVAEOptimizer(SearchAlgorithm):
                         config.search.num_parallel, rng
                     )
                 ]
-                explore = [mutate(g, rng, rate=0.05) for g in parents]
+                explore = mutate_many(parents, rng, rate=0.05)
                 self.dataset.add_evaluations(
                     simulator.query_many(explore)
                 )

@@ -116,6 +116,20 @@ class TrainStats:
     #: per-kernel replay-second *deltas* (``fwd:<op>`` / ``bwd:<op>``)
     #: from this call; populated only under ``REPRO_PROFILE=1``.
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
+    #: why this call left a compiled engine, as ``"loop: <reason>"``
+    #: (recorded loop -> per-step replay) and/or ``"step: <reason>"``
+    #: (compiled step -> eager tape), joined by ``"; "``; the reasons are
+    #: the :class:`repro.nn.CompileUnsupported` messages.  None when
+    #: nothing fell back.
+    fallback_reason: Optional[str] = None
+
+    def note_fallback(self, engine: str, exc: Exception) -> None:
+        """Record that ``engine`` fell back because of ``exc``."""
+        reason = f"{engine}: {exc}"
+        self.fallback_reason = (
+            reason if self.fallback_reason is None
+            else f"{self.fallback_reason}; {reason}"
+        )
 
     def last(self) -> Dict[str, float]:
         return {
@@ -452,8 +466,9 @@ def train_model(
             session = _compiled_loop_for(compiled_step).begin(
                 all_grids, targets, sample_p, batch, model._pad_grids, latent_dim
             )
-        except nn.CompileUnsupported:
+        except nn.CompileUnsupported as exc:
             session = None
+            stats.note_fallback("loop", exc)
     segment_rows = None
     segment_next = 0
 
@@ -493,11 +508,12 @@ def train_model(
                     step_start = time.perf_counter()
                     values = compiled_step(x_pad, grids, eps, batch_targets)
                     stats.replay_seconds.append(time.perf_counter() - step_start)
-                except nn.CompileUnsupported:
+                except nn.CompileUnsupported as exc:
                     # Permanent fallback for this call: the eager tape is
                     # always correct, and retrying the trace every step
                     # would only burn time.
                     compiled_step = None
+                    stats.note_fallback("step", exc)
             if values is None:
                 step_start = time.perf_counter()
                 outs = model.training_losses(
@@ -622,5 +638,6 @@ def report_training_round(simulator, stats: TrainStats, round_index: int) -> Non
                 "lanes": stats.lanes,
                 "losses": stats.last() if stats.total else {},
                 "counters": dict(stats.compile_counters),
+                "fallback_reason": stats.fallback_reason,
             }
         )

@@ -22,7 +22,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..prefix.graph import PrefixGraph
-from ..prefix.legalize import legalize
+from ..prefix.legalize import legalize_many
 
 __all__ = ["VAEConfig", "CircuitVAEModel"]
 
@@ -203,7 +203,7 @@ class CircuitVAEModel(nn.Module):
             raw = rng.random(probs.shape) < probs
         else:
             raw = probs > 0.5
-        return [legalize(raw[b]) for b in range(raw.shape[0])]
+        return [PrefixGraph(grid, validate=False) for grid in legalize_many(raw)]
 
     def standardize_costs(self, costs: np.ndarray) -> np.ndarray:
         return (np.asarray(costs, dtype=np.float64) - self.cost_mean) / self.cost_std

@@ -104,7 +104,8 @@ class GridObserver:
         ``info`` is the plain dict the method handed to
         :attr:`~repro.opt.simulator.CircuitSimulator.on_training`
         (round index, epochs run/skipped, last losses, compiled-step
-        counters).  Purely observational — never raises into the run.
+        counters, compile fallback reason).  Purely observational —
+        never raises into the run.
         """
 
     def on_seed_finished(

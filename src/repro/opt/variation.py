@@ -5,18 +5,53 @@ Shared by the genetic-algorithm baseline, the initial-dataset builder
 the random-search baseline.  All operators work on the free-cell
 bitvector encoding and legalize their results, so they always produce
 valid circuits.
+
+Each operator draws its random numbers through one helper
+(:func:`crossover_mask`, :func:`mutation_flips`), shared by the
+single-graph form and the population form.  No draw depends on a
+legalized result, so a population form draws every child's numbers in
+the per-graph order first and then legalizes the whole batch in one
+:func:`~repro.prefix.legalize.legalize_many` pass: the children and the
+rng position afterwards equal those of the per-graph loop.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
-from ..prefix.encoding import bits_to_graph, graph_to_bits, num_free_cells
+from ..prefix.encoding import (
+    bits_to_graph,
+    bits_to_graphs,
+    graph_to_bits,
+    grids_to_bits,
+    num_free_cells,
+)
 from ..prefix.graph import PrefixGraph
+from ..prefix.metrics import stacked_grids
 
-__all__ = ["mutate", "crossover", "random_population"]
+__all__ = [
+    "crossover",
+    "crossover_mask",
+    "mutate",
+    "mutate_many",
+    "mutation_flips",
+    "random_population",
+]
+
+
+def mutation_flips(length: int, rng: np.random.Generator, rate: float) -> np.ndarray:
+    """The cells one mutation flips: each with probability ``rate``, at least one."""
+    flips = rng.random(length) < rate
+    if not flips.any():
+        flips[rng.integers(length)] = True
+    return flips
+
+
+def crossover_mask(length: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform-crossover mask: True takes the cell from the first parent."""
+    return rng.random(length) < 0.5
 
 
 def mutate(graph: PrefixGraph, rng: np.random.Generator, rate: float = 0.02) -> PrefixGraph:
@@ -27,10 +62,18 @@ def mutate(graph: PrefixGraph, rng: np.random.Generator, rate: float = 0.02) -> 
     flipped cell was structurally implied).
     """
     bits = graph_to_bits(graph)
-    flips = rng.random(bits.shape[0]) < rate
-    if not flips.any():
-        flips[rng.integers(bits.shape[0])] = True
-    return bits_to_graph(bits ^ flips, graph.n)
+    return bits_to_graph(bits ^ mutation_flips(bits.shape[0], rng, rate), graph.n)
+
+
+def mutate_many(
+    graphs: Sequence[PrefixGraph], rng: np.random.Generator, rate: float = 0.02
+) -> List[PrefixGraph]:
+    """``[mutate(g, rng, rate) for g in graphs]`` with one legalization pass."""
+    if not graphs:
+        return []
+    bits = grids_to_bits(stacked_grids(graphs))
+    flips = np.stack([mutation_flips(bits.shape[1], rng, rate) for _ in graphs])
+    return bits_to_graphs(bits ^ flips, graphs[0].n)
 
 
 def crossover(
@@ -41,7 +84,7 @@ def crossover(
         raise ValueError("parents must share a bitwidth")
     bits_a = graph_to_bits(parent_a)
     bits_b = graph_to_bits(parent_b)
-    mask = rng.random(bits_a.shape[0]) < 0.5
+    mask = crossover_mask(bits_a.shape[0], rng)
     return bits_to_graph(np.where(mask, bits_a, bits_b), parent_a.n)
 
 
@@ -49,10 +92,12 @@ def random_population(
     n: int, size: int, rng: np.random.Generator, density_range=(0.05, 0.5)
 ) -> List[PrefixGraph]:
     """Random legal circuits with varied densities (exploration seeds)."""
+    if size <= 0:
+        return []
     lo, hi = density_range
-    population = []
-    for _ in range(size):
+    length = num_free_cells(n)
+    bits = np.empty((size, length), dtype=bool)
+    for row in bits:
         density = rng.uniform(lo, hi)
-        bits = rng.random(num_free_cells(n)) < density
-        population.append(bits_to_graph(bits, n))
-    return population
+        row[:] = rng.random(length) < density
+    return bits_to_graphs(bits, n)

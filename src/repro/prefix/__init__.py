@@ -7,8 +7,11 @@ structural metrics.
 
 from .encoding import (
     bits_to_graph,
+    bits_to_graphs,
+    bits_to_grids,
     free_cells,
     graph_to_bits,
+    grids_to_bits,
     graph_to_grid,
     grid_to_graph,
     num_free_cells,
@@ -17,7 +20,7 @@ from .encoding import (
 )
 from .graph import PrefixGraph, Span
 from .io import graph_from_dict, graph_to_dict, load_designs, save_designs
-from .legalize import legalize, legalize_grid, prune_redundant
+from .legalize import legalize, legalize_grid, legalize_many, prune_redundant
 from .metrics import (
     batch_depths,
     batch_levels,
@@ -59,6 +62,7 @@ __all__ = [
     "load_designs",
     "legalize",
     "legalize_grid",
+    "legalize_many",
     "prune_redundant",
     "ripple_carry",
     "sklansky",
@@ -79,6 +83,9 @@ __all__ = [
     "num_free_cells",
     "graph_to_bits",
     "bits_to_graph",
+    "grids_to_bits",
+    "bits_to_grids",
+    "bits_to_graphs",
     "graph_to_grid",
     "grid_to_graph",
     "random_graph",

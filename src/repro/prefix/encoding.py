@@ -14,18 +14,22 @@ Two views of the same circuit:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
 from .graph import PrefixGraph
-from .legalize import legalize
+from .legalize import legalize, legalize_many
 
 __all__ = [
     "free_cells",
     "num_free_cells",
     "graph_to_bits",
     "bits_to_graph",
+    "grids_to_bits",
+    "bits_to_grids",
+    "bits_to_graphs",
     "graph_to_grid",
     "grid_to_graph",
     "random_graph",
@@ -33,9 +37,21 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _free_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(rows, cols)`` of :func:`free_cells`, cached per width."""
+    rows, cols = np.tril_indices(n, -1)
+    free = cols > 0
+    rows, cols = rows[free], cols[free]
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def free_cells(n: int) -> List[Tuple[int, int]]:
     """Cells (i, j) with 0 < j < i: the mutable positions of an n-bit grid."""
-    return [(i, j) for i in range(2, n) for j in range(1, i)]
+    rows, cols = _free_index(n)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def num_free_cells(n: int) -> int:
@@ -45,8 +61,7 @@ def num_free_cells(n: int) -> int:
 
 def graph_to_bits(graph: PrefixGraph) -> np.ndarray:
     """Extract the free-cell bitvector (bool array) from a graph."""
-    cells = free_cells(graph.n)
-    return np.array([graph.grid[i, j] for i, j in cells], dtype=bool)
+    return graph.grid[_free_index(graph.n)]
 
 
 def bits_to_graph(bits: np.ndarray, n: int) -> PrefixGraph:
@@ -56,14 +71,32 @@ def bits_to_graph(bits: np.ndarray, n: int) -> PrefixGraph:
     parents are inserted), so this map is surjective onto legal graphs but
     not injective.
     """
-    bits = np.asarray(bits, dtype=bool).reshape(-1)
-    cells = free_cells(n)
-    if bits.shape[0] != len(cells):
-        raise ValueError(f"expected {len(cells)} bits for n={n}, got {bits.shape[0]}")
-    grid = np.zeros((n, n), dtype=bool)
-    for (i, j), bit in zip(cells, bits):
-        grid[i, j] = bit
-    return legalize(grid)
+    return bits_to_graphs(np.asarray(bits).reshape(1, -1), n)[0]
+
+
+def grids_to_bits(grids: np.ndarray) -> np.ndarray:
+    """``(B, L)`` free-cell bitvectors of a ``(B, n, n)`` grid stack (one gather)."""
+    rows, cols = _free_index(grids.shape[-1])
+    return grids[:, rows, cols]
+
+
+def bits_to_grids(bits: np.ndarray, n: int) -> np.ndarray:
+    """Legal ``(B, n, n)`` grids of ``(B, L)`` bitvectors, one legalization pass.
+
+    Row ``b`` equals ``bits_to_graph(bits[b], n).grid``.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    rows, cols = _free_index(n)
+    if bits.ndim != 2 or bits.shape[1] != rows.shape[0]:
+        raise ValueError(f"expected (B, {rows.shape[0]}) bits for n={n}, got {bits.shape}")
+    grids = np.zeros((bits.shape[0], n, n), dtype=bool)
+    grids[:, rows, cols] = bits
+    return legalize_many(grids)
+
+
+def bits_to_graphs(bits: np.ndarray, n: int) -> List[PrefixGraph]:
+    """Population form of :func:`bits_to_graph`: equal graph for graph."""
+    return [PrefixGraph(grid, validate=False) for grid in bits_to_grids(bits, n)]
 
 
 def graph_to_grid(graph: PrefixGraph) -> np.ndarray:

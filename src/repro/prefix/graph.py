@@ -22,6 +22,7 @@ grid denote exactly one circuit.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -30,6 +31,14 @@ __all__ = ["PrefixGraph", "Span"]
 
 Span = Tuple[int, int]
 T = TypeVar("T")
+
+
+@lru_cache(maxsize=None)
+def _lower_triangle(n: int) -> np.ndarray:
+    """Read-only ``(n, n)`` mask of the cells on or below the diagonal."""
+    tri = np.tri(n, dtype=bool)
+    tri.flags.writeable = False
+    return tri
 
 
 class PrefixGraph:
@@ -56,9 +65,7 @@ class PrefixGraph:
         n = grid.shape[0]
         if n < 1:
             raise ValueError("grid must be at least 1x1")
-        clean = np.zeros((n, n), dtype=bool)
-        tri = np.tril(np.ones((n, n), dtype=bool))
-        clean[tri] = grid.astype(bool)[tri]
+        clean = grid.astype(bool) & _lower_triangle(n)
         np.fill_diagonal(clean, True)
         clean[:, 0] = True
         self.grid: np.ndarray = clean

@@ -12,6 +12,11 @@ node (i, j), its upper parent (i, k) is within row ``i`` by construction
 *lower-index* row, which has not been scanned yet — so each insertion is
 seen later and recursively completed.  A single top-down sweep therefore
 yields a legal graph.
+
+:func:`legalize_many` runs the same sweep over a whole batch of grids at
+once (population variation, decoder samples); :func:`legalize_grid` is
+the reference it must equal bit for bit, and the faster path for a single
+grid.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .graph import PrefixGraph
 
-__all__ = ["legalize", "legalize_grid", "prune_redundant"]
+__all__ = ["legalize", "legalize_grid", "legalize_many", "prune_redundant"]
 
 
 def legalize_grid(grid: np.ndarray) -> np.ndarray:
@@ -42,6 +47,37 @@ def legalize_grid(grid: np.ndarray) -> np.ndarray:
         present = np.nonzero(out[i][: i + 1])[0]
         for j, k in zip(present[:-1], present[1:]):
             out[k - 1, j] = True
+    return out
+
+
+def legalize_many(grids: np.ndarray) -> np.ndarray:
+    """Legalize a ``(B, n, n)`` batch; equal to stacking :func:`legalize_grid`.
+
+    The same top-down sweep, one row index at a time across the whole
+    batch: a reversed running minimum finds every present cell's next
+    present column (its upper parent), and one fancy-index write sets
+    all the lower parents.  Writes land in rows below the current one, so
+    the sweep sees them later exactly as the per-grid loop does.  A batch
+    of one goes through :func:`legalize_grid`, which is faster alone.
+    """
+    grids = np.asarray(grids)
+    if grids.ndim != 3 or grids.shape[1] != grids.shape[2]:
+        raise ValueError(f"grids must be (B, n, n), got {grids.shape}")
+    if grids.shape[0] == 1:
+        return legalize_grid(grids[0])[None]
+    n = grids.shape[1]
+    out = grids.astype(bool) & np.tri(n, dtype=bool)
+    diag = np.arange(n)
+    out[:, diag, diag] = True
+    out[:, :, 0] = True
+    for i in range(n - 1, 0, -1):
+        row = out[:, i, : i + 1]
+        # column index where present, i + 1 (past the row) where absent;
+        # nxt[:, j] is the smallest present column in j+1..i.
+        cols = np.where(row, diag[: i + 1], i + 1)
+        nxt = np.minimum.accumulate(cols[:, :0:-1], axis=1)[:, ::-1]
+        b, j = np.nonzero(row[:, :i])
+        out[b, nxt[b, j] - 1, j] = True
     return out
 
 

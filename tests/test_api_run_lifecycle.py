@@ -486,6 +486,25 @@ class TestTrainingCheckpointsInRunDir:
         assert all(set(r.losses) == {"total", "reconstruction", "kl", "cost"}
                    for r in rounds)
 
+    def test_compile_fallback_reason_reaches_the_event(self, monkeypatch):
+        from repro import nn
+        from repro.api import TrainingRoundFinished
+        from repro.nn.loop import CompiledTrainLoop
+
+        def broken_begin(self, *args, **kwargs):
+            raise nn.CompileUnsupported("forced by test")
+
+        monkeypatch.setenv("REPRO_COMPILED_TRAIN", "1")
+        monkeypatch.setenv("REPRO_COMPILED_LOOP", "1")
+        monkeypatch.setattr(CompiledTrainLoop, "begin", broken_begin)
+        with Session() as session:
+            handle = session.submit(self._vae_spec("train-fallback"))
+            events = list(handle.events())
+            handle.result()
+        rounds = [e for e in events if isinstance(e, TrainingRoundFinished)]
+        assert rounds
+        assert all(r.fallback_reason == "loop: forced by test" for r in rounds)
+
     def test_resume_skips_completed_training_epochs(self, tmp_path):
         spec = self._vae_spec("train-ckpt-resume")
         with Session() as session:

@@ -9,7 +9,12 @@ import pytest
 
 from repro import nn
 from repro.core.dataset import CircuitDataset
-from repro.core.training import TrainConfig, _compiled_step_for, train_model
+from repro.core.training import (
+    TrainConfig,
+    _compiled_step_for,
+    report_training_round,
+    train_model,
+)
 from repro.core.vae import CircuitVAEModel, VAEConfig
 from repro.nn.loop import CompiledTrainLoop, use_compiled_loop
 from repro.prefix import random_graph
@@ -118,6 +123,38 @@ class TestRecordedLoop:
                 getattr(stats, name), getattr(s_ref, name)
             )
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_fallback_reasons_are_kept(self, monkeypatch):
+        """Each engine that falls back leaves its CompileUnsupported
+        message on TrainStats, and report_training_round hands it on."""
+        _, _, _, clean = fit(monkeypatch, loop=True)
+        assert clean.fallback_reason is None
+
+        def broken_begin(self, *args, **kwargs):
+            raise nn.CompileUnsupported("loop forced by test")
+
+        def broken_step(self, *arrays):
+            raise nn.CompileUnsupported("step forced by test")
+
+        monkeypatch.setattr(CompiledTrainLoop, "begin", broken_begin)
+        _, _, _, stats = fit(monkeypatch, loop=True)
+        assert stats.fallback_reason == "loop: loop forced by test"
+        monkeypatch.setattr(nn.CompiledTrainStep, "__call__", broken_step)
+        _, _, _, stats = fit(monkeypatch, loop=True)
+        assert stats.fallback_reason == (
+            "loop: loop forced by test; step: step forced by test"
+        )
+        assert not stats.compiled
+
+        class Listener:
+            telemetry = None
+
+            def on_training(self, info):
+                self.info = info
+
+        listener = Listener()
+        report_training_round(listener, stats, 0)
+        assert listener.info["fallback_reason"] == stats.fallback_reason
 
     def test_predrawn_indices_match_rng_choice(self):
         """The loop's hoisted-CDF searchsorted replays rng.choice

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.opt.variation import crossover, mutate, random_population
-from repro.prefix import check_adder, random_graph, sklansky
+from repro.opt.variation import crossover, mutate, mutate_many, random_population
+from repro.prefix import bits_to_graph, check_adder, num_free_cells, random_graph, sklansky
 
 
 class TestMutate:
@@ -61,3 +61,39 @@ class TestRandomPopulation:
         pop = random_population(12, 30, rng, density_range=(0.0, 0.8))
         counts = {g.node_count() for g in pop}
         assert len(counts) > 5
+
+
+class TestPopulationForms:
+    """Population operators against their per-graph forms, draw for draw."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10 ** 6),
+        n=st.integers(3, 20),
+        size=st.integers(0, 12),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    )
+    def test_property_mutate_many_equals_per_graph(self, seed, n, size, rate):
+        parents = random_population(n, size, np.random.default_rng(seed))
+        ours, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        children = mutate_many(parents, ours, rate)
+        assert children == [mutate(g, ref, rate) for g in parents]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10 ** 6),
+        n=st.integers(1, 20),
+        size=st.integers(0, 12),
+        bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    )
+    def test_property_random_population_equals_per_graph(self, seed, n, size, bounds):
+        lo, hi = bounds
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        population = random_population(n, size, ours, density_range=(lo, hi))
+        expected = []
+        for _ in range(size):
+            density = ref.uniform(lo, hi)
+            expected.append(bits_to_graph(ref.random(num_free_cells(n)) < density, n))
+        assert population == expected
+        assert ours.bit_generator.state == ref.bit_generator.state

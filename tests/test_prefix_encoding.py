@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from repro.prefix import (
     bits_to_graph,
+    bits_to_graphs,
+    bits_to_grids,
     free_cells,
     graph_to_bits,
+    grids_to_bits,
     graph_to_grid,
     grid_to_graph,
     num_free_cells,
@@ -25,6 +28,47 @@ class TestFreeCells:
     def test_cells_exclude_forced_positions(self):
         for i, j in free_cells(10):
             assert 0 < j < i
+
+    def test_row_major_order(self):
+        for n in (1, 2, 3, 8, 17):
+            assert free_cells(n) == [
+                (i, j) for i in range(2, n) for j in range(1, i)
+            ]
+
+    def test_returns_a_fresh_list(self):
+        cells = free_cells(6)
+        cells.clear()
+        assert len(free_cells(6)) == num_free_cells(6)
+
+
+class TestPopulationCodec:
+    """The population forms against the per-graph ones, graph for graph."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10 ** 6),
+        n=st.integers(1, 20),
+        batch=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+            min_size=1, max_size=10,
+        ),
+    )
+    def test_property_matches_per_graph_codec(self, seed, n, batch):
+        rng = np.random.default_rng(seed)
+        bits = np.stack([rng.random(num_free_cells(n)) < d for d in batch])
+        expected = [bits_to_graph(row, n) for row in bits]
+        assert bits_to_graphs(bits, n) == expected
+        grids = bits_to_grids(bits, n)
+        np.testing.assert_array_equal(grids, np.stack([g.grid for g in expected]))
+        np.testing.assert_array_equal(
+            grids_to_bits(grids), np.stack([graph_to_bits(g) for g in expected])
+        )
+
+    def test_bits_shape_validated(self):
+        with pytest.raises(ValueError):
+            bits_to_grids(np.zeros((2, 5), dtype=bool), 16)
+        with pytest.raises(ValueError):
+            bits_to_grids(np.zeros(num_free_cells(8), dtype=bool), 8)
 
 
 class TestRoundtrips:

@@ -9,8 +9,10 @@ from repro.prefix import (
     PrefixGraph,
     check_adder,
     kogge_stone,
+    STRUCTURES,
     legalize,
     legalize_grid,
+    legalize_many,
     prune_redundant,
     sklansky,
 )
@@ -63,6 +65,57 @@ class TestLegalize:
         g = legalize(random_raw_grid(n, rng, density))
         assert g.is_legal()
         assert check_adder(g, rng, trials=16)
+
+
+#: a density per grid: the all-off and all-on extremes, or anything between.
+densities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestLegalizeMany:
+    """The batched sweep against stacked per-grid legalization."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10 ** 6),
+        n=st.integers(1, 24),
+        batch=st.lists(densities, min_size=1, max_size=12),
+    )
+    def test_property_equals_stacked_legalize_grid(self, seed, n, batch):
+        """Raw grids, junk above the diagonal included, any batch size."""
+        rng = np.random.default_rng(seed)
+        grids = np.stack([random_raw_grid(n, rng, d) for d in batch])
+        expected = np.stack([legalize_grid(grid) for grid in grids])
+        out = legalize_many(grids)
+        assert out.dtype == bool
+        np.testing.assert_array_equal(out, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10 ** 6),
+        n=st.integers(1, 24),
+        batch=st.lists(densities, min_size=1, max_size=12),
+    )
+    def test_property_legal_grids_come_back_unchanged(self, seed, n, batch):
+        rng = np.random.default_rng(seed)
+        legal = np.stack(
+            [legalize_grid(random_raw_grid(n, rng, d)) for d in batch]
+            + [make(n).grid for make in STRUCTURES.values()]
+        )
+        np.testing.assert_array_equal(legalize_many(legal), legal)
+
+    def test_accepts_real_valued_grids(self):
+        """Nonzero means present, as in legalize_grid."""
+        rng = np.random.default_rng(4)
+        grids = rng.random((5, 9, 9)) * (rng.random((5, 9, 9)) < 0.3)
+        np.testing.assert_array_equal(
+            legalize_many(grids), np.stack([legalize_grid(g) for g in grids])
+        )
+
+    def test_rejects_non_batched_input(self):
+        with pytest.raises(ValueError):
+            legalize_many(np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            legalize_many(np.zeros((2, 3, 4)))
 
 
 class TestPrune:

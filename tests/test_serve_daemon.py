@@ -7,6 +7,7 @@ embedded daemons share the process with client-side tracers.
 """
 
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -300,6 +301,14 @@ class TestJobLifecycle:
         )
         assert isinstance(second, wire.ErrorReply)
         assert second.code == "bad_request"
+        # Collect the accepted job: an undelivered result would hold the
+        # daemon's shutdown for its whole linger.
+        deadline = time.monotonic() + 10.0
+        reply = client.request(wire.Poll(id="dup"))
+        while isinstance(reply, wire.Pending) and time.monotonic() < deadline:
+            time.sleep(0.005)
+            reply = client.request(wire.Poll(id="dup"))
+        assert isinstance(reply, wire.BatchResult)
         client.close()
 
     def test_bad_line_gets_error_not_disconnect(self, daemon):
